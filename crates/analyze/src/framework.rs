@@ -97,7 +97,6 @@ impl AnalysisConfig {
             hot_fns: vec![("crates/kernels/src/spgemm.rs".into(), "rowwise_row".into())],
             spawn_sanctioned: vec![
                 "crates/kernels/src/parallel.rs".into(),
-                "crates/kernels/src/dispatch.rs".into(),
                 "crates/core/src/planner.rs".into(),
                 "crates/serve/src/service.rs".into(),
                 "crates/bench/src/serving.rs".into(),

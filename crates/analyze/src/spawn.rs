@@ -2,13 +2,13 @@
 //! sanctioned parallel modules.
 //!
 //! The workspace's parallelism is deliberately concentrated: the
-//! two-phase ranged stream fan-out (`kernels::parallel` /
-//! `kernels::dispatch`), the planner's tile executor, the serving
-//! worker pool, and the serving bench harness. A `thread::spawn` or
-//! `thread::scope` anywhere else escapes the worker-count precedence
-//! (`with_workers` > `SPARSEFLEX_WORKERS` > hardware), the arena-pool
-//! discipline, and the deterministic-scheduling test hooks — so it is
-//! flagged.
+//! chunked fan-out helper behind `run_batch` (`kernels::parallel`), the
+//! planner's tile executor, the serving worker pool, and the serving
+//! bench harness. The kernels themselves are sequential. A
+//! `thread::spawn` or `thread::scope` anywhere else escapes the
+//! worker-count precedence (`with_workers` > `SPARSEFLEX_WORKERS` >
+//! hardware), the arena-pool discipline, and the deterministic-scheduling
+//! test hooks — so it is flagged.
 
 use crate::framework::{AnalysisConfig, Finding};
 use crate::lexer::SourceFile;

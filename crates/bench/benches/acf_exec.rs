@@ -19,10 +19,10 @@ fn bench_acf_pairs(c: &mut Criterion) {
     let a = random_matrix(128, 256, 3_000, 11);
     let b = random_matrix(256, 64, 1_500, 12);
     for (name, fa, fb) in [
-        ("dense_dense", MatrixFormat::Dense, MatrixFormat::Dense),
-        ("csr_dense", MatrixFormat::Csr, MatrixFormat::Dense),
-        ("csr_csc", MatrixFormat::Csr, MatrixFormat::Csc),
-        ("coo_dense", MatrixFormat::Coo, MatrixFormat::Dense),
+        ("dense-dense", MatrixFormat::Dense, MatrixFormat::Dense),
+        ("csr-dense", MatrixFormat::Csr, MatrixFormat::Dense),
+        ("csr-csc", MatrixFormat::Csr, MatrixFormat::Csc),
+        ("coo-dense", MatrixFormat::Coo, MatrixFormat::Dense),
     ] {
         let da = MatrixData::encode(&a, &fa).unwrap();
         let db = MatrixData::encode(&b, &fb).unwrap();

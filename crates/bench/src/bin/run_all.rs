@@ -8,7 +8,7 @@
 use std::fs;
 
 // Counting allocator so the kernels exhibit's BENCH_kernels.json carries
-// real steady-state allocation counts (one relaxed atomic increment per
+// real steady-state allocation counts (one thread-local increment per
 // allocation; no effect on any other exhibit's measurements).
 #[global_allocator]
 static ALLOC: sparseflex_bench::allocs::CountingAllocator =
@@ -133,8 +133,8 @@ fn main() -> std::io::Result<()> {
         sparseflex_bench::serving::json_from(&serving_measured) + "\n",
     )?;
     // Streaming-kernel exhibit: zero-alloc steady-state evidence plus
-    // the stream-vs-fast-path overhead, measured once, rendered as CSV
-    // and the JSON snapshot the kernels_gate CI step prices.
+    // the SpGEMM dataflow timings, measured once, rendered as CSV and
+    // the JSON snapshot.
     eprintln!("generating kernels + BENCH_kernels.json ...");
     let kernels_measured = sparseflex_bench::kernels::measure();
     fs::write(
@@ -145,24 +145,9 @@ fn main() -> std::io::Result<()> {
         dir.join("BENCH_kernels.json"),
         sparseflex_bench::kernels::json_from(&kernels_measured) + "\n",
     )?;
-    // Parallel-streaming exhibit: sequential/parallel bit-identity and
-    // per-worker arena behaviour across every format, with honest wall
-    // times at forced worker counts (speedups are informational — the
-    // snapshot records the core count they were taken under).
-    eprintln!("generating parallel + BENCH_parallel.json ...");
-    let parallel_measured = sparseflex_bench::parallel::measure();
-    fs::write(
-        dir.join("parallel.csv"),
-        sparseflex_bench::parallel::rows_from(&parallel_measured).join("\n") + "\n",
-    )?;
-    fs::write(
-        dir.join("BENCH_parallel.json"),
-        sparseflex_bench::parallel::json_from(&parallel_measured) + "\n",
-    )?;
     eprintln!(
         "wrote results/*.csv + results/BENCH_pipeline.json + results/BENCH_planner.json \
-         + results/BENCH_search.json + results/BENCH_serving.json + results/BENCH_kernels.json \
-         + results/BENCH_parallel.json"
+         + results/BENCH_search.json + results/BENCH_serving.json + results/BENCH_kernels.json"
     );
     Ok(())
 }

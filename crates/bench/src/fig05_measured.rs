@@ -1,9 +1,10 @@
 //! Measured companion to Fig. 5: wall-clock times of this workspace's own
-//! kernels across density regions (scaled to n=1024 so the sweep finishes
-//! in seconds). The model (`fig05`) covers the paper-scale n=11k.
+//! sequential kernels across density regions (scaled to n=1024 so the
+//! sweep finishes in seconds). The model (`fig05`) covers the paper-scale
+//! n=11k.
 
 use sparseflex_formats::{CsrMatrix, MatrixData};
-use sparseflex_kernels::{gemm_parallel, spgemm_parallel, spmm_parallel};
+use sparseflex_kernels::{gemm, spgemm, spmm};
 use sparseflex_workloads::synth::{random_dense_matrix, random_matrix};
 use std::time::Instant;
 
@@ -29,17 +30,17 @@ pub fn rows() -> Vec<String> {
     let b_dense = random_dense_matrix(N, N, 1);
     let a_dense = random_dense_matrix(N, N, 2);
     let gemm_t = best_of(2, || {
-        let _ = gemm_parallel(&a_dense, &b_dense);
+        let _ = gemm(&a_dense, &b_dense);
     });
     for dens in [1e-4, 1e-3, 1e-2, 1e-1] {
         let nnz = ((N * N) as f64 * dens) as usize;
         let a = MatrixData::Csr(CsrMatrix::from_coo(&random_matrix(N, N, nnz.max(1), 3)));
         let b = MatrixData::Csr(CsrMatrix::from_coo(&random_matrix(N, N, nnz.max(1), 4)));
         let spmm_t = best_of(2, || {
-            let _ = spmm_parallel(&a, &b_dense).expect("shapes agree");
+            let _ = spmm(&a, &b_dense).expect("shapes agree");
         });
         let spgemm_t = best_of(2, || {
-            let _ = spgemm_parallel(&a, &b).expect("shapes agree");
+            let _ = spgemm(&a, &b).expect("shapes agree");
         });
         out.push(format!(
             "{dens:.0e},{gemm_t:.4e},{spmm_t:.4e},{spgemm_t:.4e}"

@@ -1,8 +1,7 @@
-//! Streaming-kernel exhibit — the measured stream-vs-fast-path overhead
-//! and the zero-alloc steady-state evidence for the arena-backed
-//! traversals.
+//! Streaming-kernel exhibit — the zero-alloc steady-state evidence for
+//! the arena-backed traversals and the SpGEMM dataflow timings.
 //!
-//! Three measurement families, all on pinned-seed synthetic operands so
+//! Two measurement families, all on pinned-seed synthetic operands so
 //! the exhibit is reproducible run to run:
 //!
 //! - **Allocation points** — per compression format, heap allocations
@@ -13,29 +12,20 @@
 //!   [`enforce`] gates. Counts read 0 unless the measuring binary
 //!   installs [`crate::allocs::CountingAllocator`]; `counting_installed`
 //!   records which case the snapshot was taken under.
-//! - **Overhead points** — median wall-clock of the format-generic
-//!   stream path over the tuned fast path for the same CSR operand
-//!   (SpMV and SpMM), gated against [`STREAM_OVERHEAD_BUDGET`]. ZVC
-//!   rows ride along uninspected: they price running a hub-only format
-//!   directly, not wrapper overhead.
 //! - **SpGEMM dataflow points** — Gustavson vs row-wise wall-clock on a
 //!   moderate and a hyper-sparse/wide operand pair, plus which dataflow
 //!   [`sparseflex_sage::choose_spgemm_algo`] picks for each. Untimed
 //!   correctness (bit-identical outputs) is asserted during measurement.
 
 use crate::allocs;
-use sparseflex_formats::{CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, StreamArena};
-use sparseflex_kernels::{
-    spgemm, spgemm_rowwise, spmm, spmm_via_stream_in, spmv, spmv_via_stream_in, SpgemmAlgo,
-};
+use sparseflex_formats::{CsrMatrix, MatrixData, MatrixFormat, StreamArena};
+use sparseflex_kernels::{spgemm, spgemm_with, SpgemmAlgo};
 use sparseflex_sage::choose_spgemm_algo;
 use sparseflex_sage::SageWorkload;
 use std::time::Instant;
 
 /// Operand side for the exhibit matrices.
 const N: usize = 256;
-/// Dense-operand width (SpMM B columns).
-const DENSE_COLS: usize = 32;
 /// Nonzeros in the sparse operands (~1.5% dense).
 const NNZ: usize = 1_000;
 /// Timing repetitions (median taken).
@@ -45,13 +35,6 @@ const REPS: usize = 9;
 /// arena's warm-up pass grows every buffer to its high-water mark; after
 /// that the stream must not touch the heap.
 pub const STEADY_ALLOC_BUDGET: u64 = 0;
-
-/// Maximum allowed `stream_ns / fast_ns` ratio for the gated kernels.
-/// Locally the CSR stream path measures within ~1.3x of the tuned row
-/// loop (same inner routines, one dispatch layer); 3x leaves generous
-/// headroom for noisy shared CI runners while still catching a
-/// regression that re-introduces per-fiber allocation or copying.
-pub const STREAM_OVERHEAD_BUDGET: f64 = 3.0;
 
 /// Heap-allocation counts for one format's arena-backed traversal.
 #[derive(Debug, Clone)]
@@ -64,26 +47,6 @@ pub struct AllocPoint {
     pub steady_allocs: u64,
     /// Whether [`enforce`] holds this point to [`STEADY_ALLOC_BUDGET`].
     pub gated: bool,
-}
-
-/// Fast-path vs stream-path wall-clock for one kernel.
-#[derive(Debug, Clone)]
-pub struct OverheadPoint {
-    /// Kernel + operand label.
-    pub kernel: &'static str,
-    /// Median ns of the tuned fast path.
-    pub fast_ns: u64,
-    /// Median ns of the format-generic stream path (warm arena).
-    pub stream_ns: u64,
-    /// Whether [`enforce`] holds this ratio to [`STREAM_OVERHEAD_BUDGET`].
-    pub gated: bool,
-}
-
-impl OverheadPoint {
-    /// Stream-over-fast wall-clock ratio.
-    pub fn ratio(&self) -> f64 {
-        self.stream_ns as f64 / self.fast_ns.max(1) as f64
-    }
 }
 
 /// Gustavson vs row-wise wall-clock for one operand pair.
@@ -104,8 +67,6 @@ pub struct SpgemmPoint {
 pub struct KernelsMeasurement {
     /// Per-format traversal allocation counts.
     pub alloc_points: Vec<AllocPoint>,
-    /// Fast-vs-stream wall-clock points.
-    pub overhead_points: Vec<OverheadPoint>,
     /// SpGEMM dataflow wall-clock points.
     pub spgemm_points: Vec<SpgemmPoint>,
     /// Whether a counting allocator was installed when measuring (alloc
@@ -213,50 +174,6 @@ pub fn measure_allocs() -> Vec<AllocPoint> {
     out
 }
 
-/// Measure the fast-vs-stream overhead points.
-pub fn measure_overhead() -> Vec<OverheadPoint> {
-    let coo = exhibit_coo(13);
-    let a_csr = MatrixData::Csr(CsrMatrix::from_coo(&coo));
-    let a_zvc = MatrixData::encode(&coo, &MatrixFormat::Zvc).expect("ZVC encodes");
-    let x: Vec<f64> = (0..N).map(|i| (i % 13) as f64 - 6.0).collect();
-    let b: DenseMatrix = sparseflex_workloads::synth::random_dense_matrix(N, DENSE_COLS, 17);
-    let mut arena = StreamArena::new();
-    let mut out = Vec::new();
-
-    let fast = time_median(|| spmv(&a_csr, &x).expect("shapes agree"));
-    let stream = time_median(|| spmv_via_stream_in(&mut arena, &a_csr, &x).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmv_csr",
-        fast_ns: fast,
-        stream_ns: stream,
-        gated: true,
-    });
-    let zvc = time_median(|| spmv_via_stream_in(&mut arena, &a_zvc, &x).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmv_zvc_vs_csr_fast",
-        fast_ns: fast,
-        stream_ns: zvc,
-        gated: false,
-    });
-
-    let fast = time_median(|| spmm(&a_csr, &b).expect("shapes agree"));
-    let stream = time_median(|| spmm_via_stream_in(&mut arena, &a_csr, &b).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmm_csr",
-        fast_ns: fast,
-        stream_ns: stream,
-        gated: true,
-    });
-    let zvc = time_median(|| spmm_via_stream_in(&mut arena, &a_zvc, &b).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmm_zvc_vs_csr_fast",
-        fast_ns: fast,
-        stream_ns: zvc,
-        gated: false,
-    });
-    out
-}
-
 /// Measure the SpGEMM dataflow points (and assert bit-identity while
 /// the operands are at hand).
 pub fn measure_spgemm() -> Vec<SpgemmPoint> {
@@ -275,7 +192,7 @@ pub fn measure_spgemm() -> Vec<SpgemmPoint> {
                 &sparseflex_workloads::synth::random_matrix(k, n, nnz_b, seed + 1),
             ));
             let g = spgemm(&a, &b).expect("shapes agree");
-            let r = spgemm_rowwise(&a, &b).expect("shapes agree");
+            let r = spgemm_with(&a, &b, SpgemmAlgo::RowWise).expect("shapes agree");
             assert_eq!(g, r, "{name}: dataflows must be bit-identical");
             let w = SageWorkload::spgemm(
                 m,
@@ -288,7 +205,9 @@ pub fn measure_spgemm() -> Vec<SpgemmPoint> {
             SpgemmPoint {
                 name,
                 gustavson_ns: time_median(|| spgemm(&a, &b).expect("shapes agree")),
-                rowwise_ns: time_median(|| spgemm_rowwise(&a, &b).expect("shapes agree")),
+                rowwise_ns: time_median(|| {
+                    spgemm_with(&a, &b, SpgemmAlgo::RowWise).expect("shapes agree")
+                }),
                 sage_choice: choose_spgemm_algo(&w),
             }
         })
@@ -299,7 +218,6 @@ pub fn measure_spgemm() -> Vec<SpgemmPoint> {
 pub fn measure() -> KernelsMeasurement {
     KernelsMeasurement {
         alloc_points: measure_allocs(),
-        overhead_points: measure_overhead(),
         spgemm_points: measure_spgemm(),
         counting_installed: allocs::probe_installed(),
     }
@@ -320,18 +238,6 @@ pub fn enforce(m: &KernelsMeasurement) -> Vec<Violation> {
                     p.format, p.steady_allocs, STEADY_ALLOC_BUDGET
                 )));
             }
-        }
-    }
-    for p in &m.overhead_points {
-        if p.gated && p.ratio() > STREAM_OVERHEAD_BUDGET {
-            v.push(Violation(format!(
-                "{}: stream/fast ratio {:.2} (budget {:.2}; fast {} ns, stream {} ns)",
-                p.kernel,
-                p.ratio(),
-                STREAM_OVERHEAD_BUDGET,
-                p.fast_ns,
-                p.stream_ns
-            )));
         }
     }
     v
@@ -358,19 +264,6 @@ pub fn rows_from(m: &KernelsMeasurement) -> Vec<String> {
         ));
     }
     out.push(String::new());
-    out.push("# stream path vs fast path (median ns)".to_string());
-    out.push("kernel,fast_ns,stream_ns,ratio,gated".to_string());
-    for p in &m.overhead_points {
-        out.push(format!(
-            "{},{},{},{:.3},{}",
-            p.kernel,
-            p.fast_ns,
-            p.stream_ns,
-            p.ratio(),
-            p.gated
-        ));
-    }
-    out.push(String::new());
     out.push("# spgemm dataflows (median ns) + SAGE pricing choice".to_string());
     out.push("workload,gustavson_ns,rowwise_ns,sage_choice".to_string());
     for p in &m.spgemm_points {
@@ -391,9 +284,8 @@ pub fn snapshot_json() -> String {
 pub fn json_from(m: &KernelsMeasurement) -> String {
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"counting_installed\": {},\n  \"steady_alloc_budget\": {},\n  \
-         \"stream_overhead_budget\": {:.2},\n",
-        m.counting_installed, STEADY_ALLOC_BUDGET, STREAM_OVERHEAD_BUDGET
+        "  \"counting_installed\": {},\n  \"steady_alloc_budget\": {},\n",
+        m.counting_installed, STEADY_ALLOC_BUDGET
     ));
     json.push_str("  \"alloc_points\": [\n");
     for (i, p) in m.alloc_points.iter().enumerate() {
@@ -405,23 +297,6 @@ pub fn json_from(m: &KernelsMeasurement) -> String {
             p.steady_allocs,
             p.gated,
             if i + 1 < m.alloc_points.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    json.push_str("  ],\n  \"overhead_points\": [\n");
-    for (i, p) in m.overhead_points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"fast_ns\": {}, \"stream_ns\": {}, \
-             \"ratio\": {:.4}, \"gated\": {}}}{}\n",
-            p.kernel,
-            p.fast_ns,
-            p.stream_ns,
-            p.ratio(),
-            p.gated,
-            if i + 1 < m.overhead_points.len() {
                 ","
             } else {
                 ""
@@ -456,7 +331,6 @@ mod tests {
     fn exhibit_measures_and_renders() {
         let m = measure();
         assert_eq!(m.alloc_points.len(), alloc_formats().len() + 1);
-        assert!(m.overhead_points.iter().any(|p| p.kernel == "spmv_csr"));
         assert_eq!(m.spgemm_points.len(), 2);
         // The test harness installs no counting allocator, so every
         // count must read 0 and the snapshot must say so.
@@ -494,18 +368,11 @@ mod tests {
                 steady_allocs: 3,
                 gated: true,
             }],
-            overhead_points: vec![OverheadPoint {
-                kernel: "fake_kernel",
-                fast_ns: 100,
-                stream_ns: 100_000,
-                gated: true,
-            }],
             spgemm_points: vec![],
             counting_installed: true,
         };
         let v = enforce(&m);
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.len(), 1);
         assert!(v[0].0.contains("fake"));
-        assert!(v[1].0.contains("ratio"));
     }
 }

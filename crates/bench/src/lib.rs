@@ -23,8 +23,7 @@
 //! | [`table3`] | Table III — workloads + SAGE format selections |
 //! | [`pipeline`] | tile-grained runtime — overlapped vs serial vs batched |
 //! | [`serving`] | serving layer — multi-tenant throughput + plan-cache sharding |
-//! | [`kernels`] | streaming kernels — zero-alloc steady state + stream overhead budget |
-//! | [`parallel`] | data-parallel kernels — sequential/parallel bit-identity + ranged-arena allocs |
+//! | [`kernels`] | streaming kernels — zero-alloc steady state + SpGEMM dataflow timings |
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +42,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod kernels;
-pub mod parallel;
 pub mod pipeline;
 pub mod planner;
 pub mod search;

@@ -34,7 +34,7 @@ use crate::error::FormatError;
 use crate::formats::{MatrixData, MatrixFormat};
 use crate::size_model::{descriptor_matrix_bits, MatrixStructure, SizeBreakdown};
 use crate::traits::SparseMatrix;
-use crate::traverse::{split_by_prefix, RowFiberSink, RowMajorStream};
+use crate::traverse::{RowFiberSink, RowMajorStream};
 use crate::Value;
 use std::ops::Range;
 
@@ -427,20 +427,6 @@ impl RowMajorStream for CustomMatrix {
                 emit(r, cols, vals);
             }
         });
-    }
-
-    /// Generic counting pass: one full traversal histograms stored
-    /// nonzeros per row, then the prefix splits as usual.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let mut prefix = vec![0usize; self.rows + 1];
-        let mut arena = StreamArena::new();
-        self.for_each_fiber_in(&mut arena, &mut |r, cols, _| {
-            prefix[r + 1] += cols.len();
-        });
-        for r in 0..self.rows {
-            prefix[r + 1] += prefix[r];
-        }
-        split_by_prefix(&prefix, parts)
     }
 }
 

@@ -122,8 +122,7 @@ pub use tiler::{
 };
 pub use traits::{SparseMatrix, SparseTensor3};
 pub use traverse::{
-    csr_cow, csr_cow_in, csr_from_stream, csr_from_stream_in, split_by_prefix,
-    split_by_sorted_keys, FiberStream3, RowMajorStream,
+    csr_cow, csr_cow_in, csr_from_stream, csr_from_stream_in, FiberStream3, RowMajorStream,
 };
 pub use zvc::{ZvcMatrix, ZvcTensor3};
 

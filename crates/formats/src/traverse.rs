@@ -48,21 +48,18 @@
 //! weight-stationary dataflow). The arena-threaded and arena-less paths
 //! must be bit-for-bit identical.
 //!
-//! # Ranged traversal (the two-phase parallel split)
+//! # Ranged traversal
 //!
-//! Every stream also supports a **ranged** walk for data-parallel
-//! consumers: phase 1, [`RowMajorStream::row_partition`] /
-//! [`FiberStream3::fiber_partition`] cuts the fiber-id space into
-//! contiguous ranges of near-equal stored-nonzero weight in one cheap
-//! index pass (no values are touched beyond the explicit-zero skip each
-//! format's stream already performs); phase 2, each worker walks only its
-//! slice via `for_each_fiber_range_in` with its **own** [`StreamArena`].
-//! The contract: concatenating the ranged walks of a partition, in range
-//! order, yields **exactly** the full `for_each_fiber_in` stream — same
-//! fibers, same order, same scratch discipline — so parallel kernels
-//! built on top are bit-for-bit identical to their sequential twins.
-//! Matrix ranges are over row ids `0..rows`; tensor ranges are over the
-//! linearized fiber key `x * dim_y + y` in `0..dim_x * dim_y`.
+//! Every stream also supports a **ranged** walk,
+//! `for_each_fiber_range_in`, restricted to a contiguous range of fiber
+//! ids and seeking to it through the format's own structure. The
+//! contract: concatenating the ranged walks of contiguous ranges that
+//! cover the id space, in range order, yields **exactly** the full
+//! `for_each_fiber_in` stream — same fibers, same order, same scratch
+//! discipline. The preset formats implement `for_each_fiber_in` as the
+//! ranged walk over the whole id space. Matrix ranges are over row ids `0..rows`; tensor
+//! ranges are over the linearized fiber key `x * dim_y + y` in
+//! `0..dim_x * dim_y`.
 
 use crate::arena::StreamArena;
 use crate::bsr::BsrMatrix;
@@ -86,71 +83,6 @@ pub type RowFiberSink<'a> = dyn FnMut(usize, &[usize], &[Value]) + 'a;
 
 /// Callback consuming one tensor mode-z fiber: `(x, y, z_ids, values)`.
 pub type FiberSink3<'a> = dyn FnMut(usize, usize, &[usize], &[Value]) + 'a;
-
-/// Cut `0..prefix.len()-1` units (rows / fiber keys) into contiguous
-/// ranges of near-equal weight, where `prefix` is the inclusive weight
-/// prefix sum (`prefix[0] == 0`, `prefix[u]` = total weight of units
-/// `0..u`). Boundary `p` is placed at the first unit whose prefix reaches
-/// `p/parts` of the total (one [`slice::partition_point`] each), so every
-/// range's weight is within one maximum-unit-weight of the ideal
-/// `total/parts`. Duplicate boundaries collapse: the result has at most
-/// `parts` non-empty ranges, ascending, disjoint, covering every unit.
-pub fn split_by_prefix(prefix: &[usize], parts: usize) -> Vec<Range<usize>> {
-    let units = prefix.len().saturating_sub(1);
-    if units == 0 {
-        return Vec::new();
-    }
-    let parts = parts.max(1);
-    let total = prefix[units];
-    let mut out = Vec::with_capacity(parts.min(units));
-    let mut start = 0usize;
-    for p in 1..parts {
-        let target = ((total as u128 * p as u128) / parts as u128) as usize;
-        let end = prefix.partition_point(|&w| w < target).min(units);
-        if end <= start {
-            continue;
-        }
-        out.push(start..end);
-        start = end;
-    }
-    if start < units {
-        out.push(start..units);
-    }
-    out
-}
-
-/// [`split_by_prefix`] for streams whose elements are stored sorted by
-/// unit key (COO's row ids, a tensor's `x*dim_y + y` fiber keys): instead
-/// of building a prefix array, boundary `p` is the key of element
-/// `p/parts * n_elems` — elements sharing that key stay in the next range,
-/// so ranges never split a fiber and carry the same near-equal-weight
-/// guarantee. `key_at(i)` must be non-decreasing in `i`.
-pub fn split_by_sorted_keys(
-    n_elems: usize,
-    key_end: usize,
-    parts: usize,
-    key_at: &dyn Fn(usize) -> usize,
-) -> Vec<Range<usize>> {
-    if key_end == 0 {
-        return Vec::new();
-    }
-    let parts = parts.max(1);
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for p in 1..parts {
-        let t = ((n_elems as u128 * p as u128) / parts as u128) as usize;
-        let end = if t >= n_elems { key_end } else { key_at(t) };
-        if end <= start {
-            continue;
-        }
-        out.push(start..end);
-        start = end;
-    }
-    if start < key_end {
-        out.push(start..key_end);
-    }
-    out
-}
 
 /// First index in `0..n` for which `below` turns false (standard binary
 /// search over an implicitly sorted predicate — the index-pair analogue of
@@ -179,23 +111,19 @@ fn lower_bound(n: usize, below: impl Fn(usize) -> bool) -> usize {
 /// wrapper. Hub-only consumers that want individual nonzeros can use the
 /// derived triple streams [`for_each_nnz_in`](Self::for_each_nnz_in) /
 /// [`for_each_nnz`](Self::for_each_nnz) instead.
-/// The `Sync` supertrait lets parallel kernels share one `&dyn
-/// RowMajorStream` across scoped worker threads; every format is plain
-/// owned data, so this costs implementations nothing.
-pub trait RowMajorStream: Sync {
+pub trait RowMajorStream {
     /// Push each non-empty row fiber `(row, col_ids, values)` in row-major
     /// order, assembling scratch-built fibers in `arena`. `col_ids` and
     /// `values` are parallel slices (borrowed from the format where the
     /// layout allows, from the arena otherwise) and are only valid for the
-    /// duration of the callback. Implementations may use any arena buffer
-    /// except [`StreamArena::acc`], which is reserved for consumers.
+    /// duration of the callback.
     fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>);
 
     /// Ranged walk: [`for_each_fiber_in`](Self::for_each_fiber_in)
     /// restricted to rows in `range` — same fibers, same order, same
-    /// scratch discipline, so concatenating the walks of a
-    /// [`row_partition`](Self::row_partition) reproduces the full stream
-    /// exactly. Implementations seek to the range using their native
+    /// scratch discipline, so concatenating the walks of contiguous ranges
+    /// covering `0..rows` reproduces the full stream exactly.
+    /// Implementations seek to the range using their native
     /// structure (offset `partition_point`, run skip-scan, bitmask rank,
     /// …) rather than filtering the full walk wherever the layout allows.
     fn for_each_fiber_range_in(
@@ -204,13 +132,6 @@ pub trait RowMajorStream: Sync {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     );
-
-    /// Phase 1 of the two-phase parallel split: cut `0..rows` into at most
-    /// `parts` contiguous row ranges of near-equal stored-nonzero weight
-    /// (each range within one maximum-row-weight of `nnz/parts`), in a
-    /// single structure pass. Ranges are ascending, disjoint, and cover
-    /// every row; an empty matrix yields no ranges.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>>;
 
     /// One-shot wrapper around [`for_each_fiber_in`](Self::for_each_fiber_in)
     /// with a fresh (heap-free until used) arena.
@@ -242,35 +163,24 @@ pub trait RowMajorStream: Sync {
 /// ascending within each fiber. Scratch comes from the caller's
 /// [`StreamArena`]; [`for_each_fiber`](Self::for_each_fiber) is the
 /// one-shot wrapper.
-/// The `Sync` supertrait lets parallel kernels share one `&dyn
-/// FiberStream3` across scoped worker threads.
-pub trait FiberStream3: Sync {
+pub trait FiberStream3 {
     /// Push each non-empty fiber `(x, y, z_ids, values)` in `(x, y)`
     /// lexicographic order, assembling scratch-built fibers in `arena`.
     /// `z_ids` and `values` are parallel slices valid only for the duration
-    /// of the callback. Implementations may use any arena buffer except
-    /// [`StreamArena::acc`], which is reserved for consumers.
+    /// of the callback.
     fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>);
 
     /// Ranged walk over the linearized fiber keys `x * dim_y + y`:
     /// [`for_each_fiber_in`](Self::for_each_fiber_in) restricted to fibers
     /// whose key lies in `range`, seeking via the native structure.
-    /// Concatenating the walks of a
-    /// [`fiber_partition`](Self::fiber_partition) reproduces the full
-    /// stream exactly.
+    /// Concatenating the walks of contiguous ranges covering the key space
+    /// reproduces the full stream exactly.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     );
-
-    /// Phase 1 of the two-phase parallel split: cut the fiber-key space
-    /// `0..dim_x * dim_y` into at most `parts` contiguous ranges of
-    /// near-equal stored-nonzero weight in one structure pass. Ranges are
-    /// ascending, disjoint, and cover every key; an empty key space yields
-    /// no ranges.
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>>;
 
     /// One-shot wrapper around [`for_each_fiber_in`](Self::for_each_fiber_in)
     /// with a fresh (heap-free until used) arena.
@@ -323,11 +233,6 @@ impl RowMajorStream for CsrMatrix {
             }
         }
     }
-
-    /// The row pointer *is* the weight prefix sum.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        split_by_prefix(self.row_ptr(), parts)
-    }
 }
 
 impl RowMajorStream for CooMatrix {
@@ -358,13 +263,6 @@ impl RowMajorStream for CooMatrix {
             emit(r, &self.col_ids()[s..e], &self.values()[s..e]);
             s = e;
         }
-    }
-
-    /// Quantile split over the sorted row ids — no counting pass needed.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let rids = self.row_ids();
-        split_by_sorted_keys(rids.len(), self.rows(), parts, &|i| rids[i])
     }
 
     fn for_each_nnz_in(&self, _arena: &mut StreamArena, emit: &mut dyn FnMut(usize, usize, Value)) {
@@ -404,20 +302,6 @@ impl RowMajorStream for DenseMatrix {
             }
         }
     }
-
-    /// Counts the nonzeros the stream will emit per row (one value scan —
-    /// dense storage has no cheaper structure to consult).
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let rows = self.rows();
-        let mut prefix = Vec::with_capacity(rows + 1);
-        prefix.push(0usize);
-        for r in 0..rows {
-            let nz = self.row(r).iter().filter(|&&v| v != 0.0).count();
-            prefix.push(prefix[r] + nz);
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl RowMajorStream for CscMatrix {
@@ -430,10 +314,10 @@ impl RowMajorStream for CscMatrix {
         self.for_each_fiber_range_in(0..self.rows(), arena, emit);
     }
 
-    /// The counting sort restricted to the row band `range`: each worker
+    /// The counting sort restricted to the row band `range`: the walk
     /// still scans the full column-major index (CSC stores nothing
     /// row-contiguous to seek by), but buckets, scatters, and emits only
-    /// its own rows, so scratch is band-sized and bands are independent.
+    /// the band's rows, so scratch is band-sized and bands are independent.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -487,20 +371,6 @@ impl RowMajorStream for CscMatrix {
                 emit(lo + i, &coords[s..e], &vals[s..e]);
             }
         }
-    }
-
-    /// Reuses the transpose's counting pass as the weight histogram.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let rows = self.rows();
-        let mut prefix = vec![0usize; rows + 1];
-        for &r in self.row_ids() {
-            prefix[r + 1] += 1;
-        }
-        for r in 0..rows {
-            prefix[r + 1] += prefix[r];
-        }
-        split_by_prefix(&prefix, parts)
     }
 }
 
@@ -562,41 +432,6 @@ impl RowMajorStream for BsrMatrix {
             }
         }
     }
-
-    /// One pass over the stored blocks, histogramming the nonzero block
-    /// values into their global rows (padding zeros excluded, matching
-    /// what the stream emits).
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let (br_h, bc_w) = self.block_shape();
-        let rows = self.rows();
-        let mut prefix = vec![0usize; rows + 1];
-        for br in 0..self.num_block_rows() {
-            for i in self.row_ptr()[br]..self.row_ptr()[br + 1] {
-                let bc = self.col_ids()[i];
-                let blk = self.block(i);
-                for lr in 0..br_h {
-                    let r = br * br_h + lr;
-                    if r >= rows {
-                        break;
-                    }
-                    for lc in 0..bc_w {
-                        let c = bc * bc_w + lc;
-                        if c >= self.cols() {
-                            break;
-                        }
-                        if blk[lr * bc_w + lc] != 0.0 {
-                            prefix[r + 1] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        for r in 0..rows {
-            prefix[r + 1] += prefix[r];
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl RowMajorStream for EllMatrix {
@@ -655,25 +490,6 @@ impl RowMajorStream for EllMatrix {
             emit(r, coords, vals);
         }
     }
-
-    /// One pass over the padded slots counting the entries the stream
-    /// keeps (`c != ELL_PAD && v != 0.0`).
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let rows = self.rows();
-        let mut prefix = Vec::with_capacity(rows + 1);
-        prefix.push(0usize);
-        for r in 0..rows {
-            let (cs, vs) = self.row(r);
-            let nz = cs
-                .iter()
-                .zip(vs)
-                .filter(|&(&c, &v)| c != ELL_PAD && v != 0.0)
-                .count();
-            prefix.push(prefix[r] + nz);
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl RowMajorStream for DiaMatrix {
@@ -713,25 +529,6 @@ impl RowMajorStream for DiaMatrix {
                 emit(r, coords, vals);
             }
         }
-    }
-
-    /// Per-row scan of the valid diagonal window (the same binary-searched
-    /// window the traversal walks), counting stored nonzeros.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let (rows, cols_n) = (self.rows(), self.cols());
-        let offsets = self.offsets();
-        let mut prefix = Vec::with_capacity(rows + 1);
-        prefix.push(0usize);
-        for r in 0..rows {
-            let lo = offsets.partition_point(|&k| r as isize + k < 0);
-            let hi = offsets.partition_point(|&k| r as isize + k < cols_n as isize);
-            let nz = (lo..hi)
-                .filter(|&i| self.data()[i * rows + r] != 0.0)
-                .count();
-            prefix.push(prefix[r] + nz);
-        }
-        split_by_prefix(&prefix, parts)
     }
 }
 
@@ -790,31 +587,6 @@ impl RowMajorStream for RlcMatrix {
             emit(cur_row, coords, vals);
         }
     }
-
-    /// One decode pass over the run entries, histogramming the value
-    /// entries (extension entries excluded) into their rows.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let (rows, cols_n) = (self.rows(), self.cols());
-        let mut prefix = vec![0usize; rows + 1];
-        let mut cursor = 0u64;
-        for e in self.entries() {
-            let pos = cursor + e.zeros;
-            cursor = pos + 1;
-            if e.value == 0.0 {
-                continue;
-            }
-            // checked_div: a zero-column matrix stores no positions at
-            // all, so `None` just skips the (impossible) entry.
-            if let Some(r) = (pos as usize).checked_div(cols_n) {
-                prefix[r + 1] += 1;
-            }
-        }
-        for r in 0..rows {
-            prefix[r + 1] += prefix[r];
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl RowMajorStream for ZvcMatrix {
@@ -854,19 +626,6 @@ impl RowMajorStream for ZvcMatrix {
             }
         }
     }
-
-    /// Histogram of set mask bits per row — pure index work.
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
-        let (rows, cols_n) = (self.rows(), self.cols());
-        let mut prefix = Vec::with_capacity(rows + 1);
-        prefix.push(0usize);
-        for r in 0..rows {
-            let nz = (0..cols_n).filter(|&c| self.bit(r * cols_n + c)).count();
-            prefix.push(prefix[r] + nz);
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl RowMajorStream for MatrixData {
@@ -881,9 +640,6 @@ impl RowMajorStream for MatrixData {
     ) {
         self.row_stream()
             .for_each_fiber_range_in(range, arena, emit);
-    }
-    fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        self.row_stream().row_partition(parts)
     }
     fn for_each_nnz_in(&self, arena: &mut StreamArena, emit: &mut dyn FnMut(usize, usize, Value)) {
         self.row_stream().for_each_nnz_in(arena, emit);
@@ -946,14 +702,6 @@ impl FiberStream3 for CooTensor3 {
         }
     }
 
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
-        let dy = self.dim_y();
-        let xs = self.x_ids();
-        let ys = self.y_ids();
-        split_by_sorted_keys(xs.len(), self.dim_x() * dy, parts, &|i| xs[i] * dy + ys[i])
-    }
-
     fn for_each_nnz_in(
         &self,
         _arena: &mut StreamArena,
@@ -1012,20 +760,6 @@ impl FiberStream3 for CsfTensor {
             }
         }
     }
-
-    /// Quantile split over the stored elements: element `e` belongs to the
-    /// fiber found by two `partition_point` descents through the tree
-    /// pointers (`y_ptr` locates the fiber, `x_ptr` locates its slice).
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
-        let dy = self.dim_y();
-        let key_at = |e: usize| {
-            let fi = self.y_ptr().partition_point(|&p| p <= e) - 1;
-            let si = self.x_ptr().partition_point(|&p| p <= fi) - 1;
-            self.x_fids()[si] * dy + self.y_fids()[fi]
-        };
-        split_by_sorted_keys(self.values().len(), self.dim_x() * dy, parts, &key_at)
-    }
 }
 
 impl FiberStream3 for DenseTensor3 {
@@ -1065,22 +799,6 @@ impl FiberStream3 for DenseTensor3 {
             }
         }
     }
-
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let keys = dx * dy;
-        let mut prefix = vec![0usize; keys + 1];
-        for key in 0..keys {
-            let base = key * dz;
-            let nnz = self.data()[base..base + dz]
-                .iter()
-                .filter(|&&v| v != 0.0)
-                .count();
-            prefix[key + 1] = prefix[key] + nnz;
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl FiberStream3 for HiCooTensor {
@@ -1094,7 +812,7 @@ impl FiberStream3 for HiCooTensor {
     }
 
     /// Block filter: only quads whose fiber key falls in `range` enter the
-    /// arena sort, so each worker sorts just its share of the nonzeros.
+    /// arena sort, so a ranged walk sorts just its share of the nonzeros.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -1129,17 +847,6 @@ impl FiberStream3 for HiCooTensor {
             emit(x, y, zs, vals);
             s = e;
         }
-    }
-
-    /// Block scan: decode every quad's fiber key once, sort the keys, and
-    /// quantile-split — the per-block clustering means no single structure
-    /// pass yields sorted keys for free.
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
-        let dy = self.dim_y();
-        let mut keys: Vec<usize> = self.iter().map(|(x, y, _, _)| x * dy + y).collect();
-        keys.sort_unstable();
-        split_by_sorted_keys(keys.len(), self.dim_x() * dy, parts, &|i| keys[i])
     }
 }
 
@@ -1205,30 +912,6 @@ impl FiberStream3 for RlcTensor3 {
             }
         }
     }
-
-    /// Run scan: one decode pass histograms stored elements per fiber key
-    /// into a prefix array.
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let keys = dx * dy;
-        if dz == 0 {
-            return Vec::new();
-        }
-        let mut prefix = vec![0usize; keys + 1];
-        let mut cursor = 0u64;
-        for e in self.entries() {
-            let pos = cursor + e.zeros;
-            cursor = pos + 1;
-            if e.value != 0.0 {
-                prefix[pos as usize / dz + 1] += 1;
-            }
-        }
-        for k in 0..keys {
-            prefix[k + 1] += prefix[k];
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl FiberStream3 for ZvcTensor3 {
@@ -1271,20 +954,6 @@ impl FiberStream3 for ZvcTensor3 {
             }
         }
     }
-
-    /// Mask scan: per-key popcount into a prefix array.
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let keys = dx * dy;
-        let mut prefix = vec![0usize; keys + 1];
-        for key in 0..keys {
-            let base = key * dz;
-            let nnz = (0..dz).filter(|&z| self.bit(base + z)).count();
-            prefix[key + 1] = prefix[key] + nnz;
-        }
-        split_by_prefix(&prefix, parts)
-    }
 }
 
 impl FiberStream3 for TensorData {
@@ -1299,9 +968,6 @@ impl FiberStream3 for TensorData {
     ) {
         self.fiber_stream()
             .for_each_fiber_range_in(range, arena, emit);
-    }
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        self.fiber_stream().fiber_partition(parts)
     }
     fn for_each_nnz_in(
         &self,
@@ -1651,60 +1317,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn split_by_prefix_covers_and_balances() {
-        // nnz prefix for 6 units with weights [3, 0, 5, 1, 1, 2] (total 12).
-        let prefix = [0usize, 3, 3, 8, 9, 10, 12];
-        for parts in 1..=8 {
-            let ranges = split_by_prefix(&prefix, parts);
-            assert!(ranges.len() <= parts);
-            assert_eq!(ranges.first().map(|r| r.start), Some(0));
-            assert_eq!(ranges.last().map(|r| r.end), Some(6));
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "ranges must tile contiguously");
-            }
-            // Balance: each range within one max unit weight of the ideal.
-            let max_unit = 5;
-            for r in &ranges {
-                let weight = prefix[r.end] - prefix[r.start];
-                assert!(
-                    weight <= 12 / parts + max_unit,
-                    "range {r:?} weight {weight} too heavy for {parts} parts"
-                );
-            }
-        }
-        assert!(split_by_prefix(&[0], 4).is_empty(), "zero units");
-        assert_eq!(split_by_prefix(&[0, 0, 0], 4), vec![0..2], "zero weight");
+    /// `parts` contiguous ranges of near-equal length covering `0..units`
+    /// (empty ranges included), the fixed cut points the ranged-walk
+    /// tests use.
+    fn fixed_ranges(units: usize, parts: usize) -> Vec<Range<usize>> {
+        (0..parts)
+            .map(|p| p * units / parts..(p + 1) * units / parts)
+            .collect()
     }
 
-    #[test]
-    fn split_by_sorted_keys_covers_and_respects_fibers() {
-        let keys = [0usize, 0, 0, 2, 2, 5, 5, 5, 5, 7];
-        for parts in 1..=6 {
-            let ranges = split_by_sorted_keys(keys.len(), 9, parts, &|i| keys[i]);
-            assert!(ranges.len() <= parts);
-            assert_eq!(ranges.first().map(|r| r.start), Some(0));
-            assert_eq!(ranges.last().map(|r| r.end), Some(9));
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            // No fiber may straddle a boundary: every boundary is a key
-            // value, and all equal keys fall on one side of it.
-            for w in ranges.windows(2) {
-                let b = w[0].end;
-                assert!(
-                    keys.iter().all(|&k| k != b || k >= b),
-                    "boundary {b} splits a fiber"
-                );
-            }
-        }
-        assert!(split_by_sorted_keys(0, 0, 3, &|_| 0).is_empty());
-        assert_eq!(split_by_sorted_keys(0, 4, 3, &|_| 0), vec![0..4]);
-    }
-
-    /// Concatenating the ranged walks of any partition must reproduce the
-    /// full fiber stream exactly, for every matrix format and any part
-    /// count — the contract the parallel kernels rest on.
+    /// Concatenating the ranged walks of contiguous covering ranges must
+    /// reproduce the full fiber stream exactly, for every matrix format
+    /// and any number of cut points.
     #[test]
     fn ranged_matrix_walks_concatenate_to_full_stream() {
         let coo = sample_matrix();
@@ -1713,16 +1337,9 @@ mod tests {
             let mut full: Vec<(usize, Vec<usize>, Vec<Value>)> = Vec::new();
             data.for_each_fiber(&mut |r, cs, vs| full.push((r, cs.to_vec(), vs.to_vec())));
             for parts in [1, 2, 3, 5, 16] {
-                let ranges = data.row_partition(parts);
-                assert!(ranges.len() <= parts, "{fmt} produced too many ranges");
-                assert_eq!(ranges.first().map(|r| r.start), Some(0), "{fmt}");
-                assert_eq!(ranges.last().map(|r| r.end), Some(data.rows()), "{fmt}");
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start, "{fmt} ranges must tile");
-                }
                 let mut arena = StreamArena::new();
                 let mut cat: Vec<(usize, Vec<usize>, Vec<Value>)> = Vec::new();
-                for range in ranges {
+                for range in fixed_ranges(data.rows(), parts) {
                     data.for_each_fiber_range_in(range, &mut arena, &mut |r, cs, vs| {
                         cat.push((r, cs.to_vec(), vs.to_vec()))
                     });
@@ -1743,16 +1360,9 @@ mod tests {
             data.for_each_fiber(&mut |x, y, zs, vs| full.push((x, y, zs.to_vec(), vs.to_vec())));
             let keys = coo.dim_x() * coo.dim_y();
             for parts in [1, 2, 3, 7, 32] {
-                let ranges = data.fiber_partition(parts);
-                assert!(ranges.len() <= parts, "{fmt} produced too many ranges");
-                assert_eq!(ranges.first().map(|r| r.start), Some(0), "{fmt}");
-                assert_eq!(ranges.last().map(|r| r.end), Some(keys), "{fmt}");
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start, "{fmt} ranges must tile");
-                }
                 let mut arena = StreamArena::new();
                 let mut cat: Vec<(usize, usize, Vec<usize>, Vec<Value>)> = Vec::new();
-                for range in ranges {
+                for range in fixed_ranges(keys, parts) {
                     data.for_each_fiber_range_in(range, &mut arena, &mut |x, y, zs, vs| {
                         cat.push((x, y, zs.to_vec(), vs.to_vec()))
                     });

@@ -1,6 +1,5 @@
 //! Dense GEMM: `O = A * B` with `A: MxK`, `B: KxN`, `O: MxN`.
 
-use crate::parallel::{par_chunks, worker_count};
 use sparseflex_formats::{DenseMatrix, SparseMatrix};
 
 /// Cache-blocked sequential dense GEMM (ikj loop order so the innermost
@@ -9,42 +8,12 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimensions must agree");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = DenseMatrix::zeros(m, n);
-    gemm_into(a.data(), b.data(), out.data_mut(), m, k, n, 0);
+    gemm_into(a.data(), b.data(), out.data_mut(), m, k, n);
     out
 }
 
-/// Multithreaded dense GEMM: output rows are partitioned across scoped
-/// threads; each thread computes its rows independently.
-pub fn gemm_parallel(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(a.cols(), b.rows(), "GEMM inner dimensions must agree");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseMatrix::zeros(m, n);
-    let workers = worker_count(m);
-    {
-        let a_data = a.data();
-        let b_data = b.data();
-        // Chunk the output by whole rows: chunk length is a multiple of n.
-        let rows_per = m.div_ceil(workers).max(1);
-        par_chunks(out.data_mut(), m.div_ceil(rows_per), |off, chunk| {
-            let row0 = off / n;
-            let rows_here = chunk.len() / n;
-            gemm_into(
-                &a_data[row0 * k..(row0 + rows_here) * k],
-                b_data,
-                chunk,
-                rows_here,
-                k,
-                n,
-                0,
-            );
-        });
-    }
-    out
-}
-
-/// Inner blocked kernel writing into a raw output slice. `_depth` is
-/// reserved for future recursive blocking.
-fn gemm_into(a: &[f64], b: &[f64], o: &mut [f64], m: usize, k: usize, n: usize, _depth: usize) {
+/// Inner blocked kernel writing into a raw output slice.
+fn gemm_into(a: &[f64], b: &[f64], o: &mut [f64], m: usize, k: usize, n: usize) {
     const BK: usize = 64;
     for k0 in (0..k).step_by(BK) {
         let k1 = (k0 + BK).min(k);
@@ -106,13 +75,6 @@ mod tests {
         let a = mat(17, 23, 1);
         let b = mat(23, 9, 2);
         assert_eq!(gemm(&a, &b), gemm_naive(&a, &b));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = mat(64, 48, 3);
-        let b = mat(48, 33, 4);
-        assert_eq!(gemm_parallel(&a, &b), gemm(&a, &b));
     }
 
     #[test]

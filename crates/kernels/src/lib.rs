@@ -1,7 +1,7 @@
 //! # sparseflex-kernels
 //!
 //! Software reference implementations of the tensor-algebra kernels the
-//! paper's accelerator targets (Fig. 2), redesigned around **format-generic
+//! paper's accelerator targets (Fig. 2), built around **format-generic
 //! fiber streams**: each sparse kernel has one public entry point that
 //! takes a [`MatrixData`](sparseflex_formats::MatrixData) /
 //! [`TensorData`](sparseflex_formats::TensorData) operand in *any* of the
@@ -9,30 +9,28 @@
 //! `sparseflex_formats::traverse` streaming traversal — no pre-conversion
 //! to a blessed format.
 //!
-//! - **GEMM** — dense matrix × dense matrix ([`mod@gemm`]).
+//! - **GEMM** — dense matrix × dense matrix ([`gemm()`]).
 //! - **SpMV** — any-format matrix × dense vector ([`spmv()`]).
-//! - **SpMM** — any-format matrix × dense matrix ([`spmm()`],
-//!   [`spmm_parallel()`]), or dense × any-format stationary operand
-//!   ([`spmm_sparse_b()`], Fig. 6b's layout).
-//! - **SpGEMM** — any-format × any-format ([`spgemm()`],
-//!   [`spgemm_parallel()`]), with a selectable dataflow
-//!   ([`SpgemmAlgo`]): Gustavson's dense-accumulator row algorithm or the
-//!   row-wise k-way merge product ([`spgemm_rowwise()`]); both emit
-//!   bit-for-bit identical CSR.
+//! - **SpMM** — any-format matrix × dense matrix ([`spmm()`], or
+//!   [`spmm_from_stream()`] for descriptor-encoded operands), or dense ×
+//!   any-format stationary operand ([`spmm_sparse_b()`], Fig. 6b's
+//!   layout).
+//! - **SpGEMM** — any-format × any-format ([`spgemm()`]), with a
+//!   selectable dataflow ([`spgemm_with()`], [`SpgemmAlgo`]): Gustavson's
+//!   dense-accumulator row algorithm or the row-wise k-way merge product;
+//!   both emit bit-for-bit identical CSR.
 //! - **SpTTM** — any-format tensor × dense matrix ([`spttm()`]).
 //! - **MTTKRP** — any-format tensor Khatri-Rao product ([`mttkrp()`]).
 //! - **im2col** — convolution → GEMM rearrangement used by the ResNet case
 //!   study ([`mod@im2col`]).
 //!
-//! Dispatch retains the tuned concrete implementations (CSR row loops,
-//! COO Algorithm 1, CSF fiber kernels, CSC-stationary SpMM) as
-//! specializations behind the generic entry points; formats without a
-//! dedicated path stream through the same accumulation and produce
-//! identical results. Shape mismatches surface as [`KernelError`] values
-//! rather than panics. (The transitional per-format function zoo —
-//! `spmm_csr_dense`, `mttkrp_coo`, ... — kept one release as
-//! `#[deprecated]` shims has been removed; call the dispatch entry
-//! points.)
+//! Every matrix operation runs one stream path for every format; the
+//! tensor kernels keep their COO and CSF loops and `spmm_sparse_b` keeps
+//! its CSC-stationary path (see [`mod@dispatch`] for why). The kernels are
+//! sequential: the workspace's parallelism lives in the planner's tile
+//! executor, `run_batch` and the serving workers, which
+//! [`mod@parallel`]'s worker-count policy sizes. Shape mismatches surface
+//! as [`KernelError`] values rather than panics.
 //!
 //! These kernels are used three ways across the workspace: as the
 //! functional oracle for the accelerator simulator, as the measured
@@ -51,16 +49,11 @@ pub mod mttkrp;
 pub mod parallel;
 pub mod spgemm;
 pub mod spmm;
-pub mod spmv;
 pub mod spttm;
 
 pub use dispatch::{
-    csr_from_stream_parallel, mttkrp, mttkrp_parallel, mttkrp_via_stream, mttkrp_via_stream_in,
-    spgemm, spgemm_parallel, spgemm_parallel_with, spgemm_rowwise, spgemm_with, spmm,
-    spmm_from_stream, spmm_from_stream_in, spmm_parallel, spmm_parallel_in, spmm_sparse_b,
-    spmm_via_stream, spmm_via_stream_in, spmv, spmv_via_stream, spmv_via_stream_in, spttm,
-    spttm_parallel, spttm_via_stream, spttm_via_stream_in, SpgemmAlgo,
+    mttkrp, spgemm, spgemm_with, spmm, spmm_from_stream, spmm_sparse_b, spmv, spttm, SpgemmAlgo,
 };
 pub use error::KernelError;
-pub use gemm::{gemm, gemm_parallel};
+pub use gemm::gemm;
 pub use im2col::{im2col, ConvLayer};

@@ -1,12 +1,18 @@
-//! Thread-pool helpers for the multithreaded kernel variants.
+//! Worker-count policy and the chunked fan-out helper for the library's
+//! parallel callers.
 //!
-//! All parallel kernels partition their *output* rows into disjoint chunks
-//! and hand each chunk to one scoped thread, so no synchronization beyond
-//! the final join is needed and results are bit-identical to the
-//! sequential variants.
+//! The kernels in this crate are sequential. On a 2-core x86 host,
+//! row-split parallel versions of SpMM/SpGEMM/MTTKRP/SpTTM measured
+//! slower than the sequential kernels at 24 of 30 (operation, format,
+//! size) points from 128² to 4096² at 16 nonzeros per row: a per-call
+//! thread spawn costs more than a kernel call of that size does. Parallelism therefore lives where a work item is a whole tile
+//! or job: the planner's tile executor and `FlexSystem::run_batch` in
+//! `sparseflex-core` size their workers with [`worker_count`], and
+//! `run_batch` fans out through [`par_chunks`]. Each worker owns a
+//! disjoint chunk, so no synchronization beyond the final join is needed
+//! and results equal the sequential loop.
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 thread_local! {
@@ -30,8 +36,8 @@ fn env_workers() -> Option<usize> {
 /// work, always in `1..=work_items.max(1)`.
 ///
 /// Precedence of the thread-count source (highest first):
-/// 1. a [`with_workers`] scope active on the calling thread — benches and
-///    the parallel-vs-sequential equality tests pin exact counts this way;
+/// 1. a [`with_workers`] scope active on the calling thread — the
+///    forced-worker-count equality tests pin exact counts this way;
 /// 2. the `SPARSEFLEX_WORKERS` environment variable (parsed once per
 ///    process; zero or unparsable values are ignored) — CI runs set this
 ///    for reproducible behavior on any core count;
@@ -60,29 +66,6 @@ pub fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(FORCED_WORKERS.with(|c| c.replace(Some(n.max(1)))));
     f()
-}
-
-/// Split `data` into one disjoint mutable slice per partition range, where
-/// each range covers `stride` elements per unit (`data[r.start * stride ..
-/// r.end * stride]`). Ranges must be ascending and tile `0..data.len() /
-/// stride` — exactly what the stream partitioners produce.
-pub fn split_at_ranges<'a, T>(
-    mut data: &'a mut [T],
-    ranges: &[Range<usize>],
-    stride: usize,
-) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut consumed = 0usize;
-    for r in ranges {
-        debug_assert_eq!(r.start, consumed, "ranges must tile contiguously");
-        let take = (r.end - r.start) * stride;
-        let (head, tail) = data.split_at_mut(take);
-        out.push(head);
-        data = tail;
-        consumed = r.end;
-    }
-    debug_assert!(data.is_empty(), "ranges must cover the whole slice");
-    out
 }
 
 /// Split `data` into at most `parts` contiguous mutable chunks of
@@ -150,18 +133,6 @@ mod tests {
         });
         assert_eq!(worker_count(64), outside);
         with_workers(0, || assert_eq!(worker_count(64), 1, "zero clamps to 1"));
-    }
-
-    #[test]
-    fn split_at_ranges_yields_disjoint_strided_slices() {
-        let mut v: Vec<usize> = (0..24).collect();
-        let slices = split_at_ranges(&mut v, &[0..2, 2..3, 3..8], 3);
-        assert_eq!(slices.len(), 3);
-        assert_eq!(slices[0], &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(slices[1], &[6, 7, 8]);
-        assert_eq!(slices[2].len(), 15);
-        let empty = split_at_ranges(&mut [] as &mut [usize], &[], 4);
-        assert!(empty.is_empty());
     }
 
     #[test]

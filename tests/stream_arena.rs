@@ -9,14 +9,18 @@
 //! proptest pins the semantic half of the contract: the arena-backed
 //! stream emits exactly the same fiber sequence as the arena-less
 //! convenience path, even when one arena is shared dirty across formats
-//! and passes.
+//! and passes. Both halves also cover the ranged walk
+//! (`for_each_fiber_range_in`): walks over fixed cut points concatenate
+//! to the full stream, and a warm arena's repeat ranged walk allocates
+//! nothing.
 
 use proptest::prelude::*;
 use sparseflex::formats::{
     csr_from_stream, csr_from_stream_in, CooMatrix, CooTensor3, MatrixData, MatrixFormat,
-    StreamArena, TensorData, TensorFormat,
+    SparseMatrix, SparseTensor3, StreamArena, TensorData, TensorFormat,
 };
 use sparseflex_bench::allocs;
+use std::ops::Range;
 
 #[global_allocator]
 static ALLOC: allocs::CountingAllocator = allocs::CountingAllocator;
@@ -78,6 +82,35 @@ fn tensor_fibers_in(data: &TensorData, arena: &mut StreamArena) -> TensorFibers 
     out
 }
 
+/// Fixed cut points: `0..units` in thirds (some empty on tiny operands).
+fn thirds(units: usize) -> [Range<usize>; 3] {
+    [0..units / 3, units / 3..2 * units / 3, 2 * units / 3..units]
+}
+
+/// The three ranged walks over [`thirds`] of the rows, concatenated.
+fn matrix_fibers_thirds(data: &MatrixData, arena: &mut StreamArena) -> MatrixFibers {
+    let mut out = Vec::new();
+    for range in thirds(data.rows()) {
+        data.row_stream()
+            .for_each_fiber_range_in(range, arena, &mut |r, cols, vals| {
+                out.push((r, cols.to_vec(), vals.to_vec()));
+            });
+    }
+    out
+}
+
+/// The three ranged walks over [`thirds`] of the fiber keys, concatenated.
+fn tensor_fibers_thirds(data: &TensorData, arena: &mut StreamArena) -> TensorFibers {
+    let mut out = Vec::new();
+    for range in thirds(data.dim_x() * data.dim_y()) {
+        data.fiber_stream()
+            .for_each_fiber_range_in(range, arena, &mut |x, y, zs, vals| {
+                out.push((x, y, zs.to_vec(), vals.to_vec()));
+            });
+    }
+    out
+}
+
 fn tensor_fibers_oneshot(data: &TensorData) -> TensorFibers {
     let mut out = Vec::new();
     data.fiber_stream().for_each_fiber(&mut |x, y, zs, vals| {
@@ -104,6 +137,32 @@ fn tensor_checksum(data: &TensorData, arena: &mut StreamArena) -> f64 {
     let mut acc = 0.0f64;
     data.fiber_stream()
         .for_each_fiber_in(arena, &mut |x, y, zs, vals| {
+            acc += (x + y + zs.len()) as f64;
+            for &v in vals {
+                acc += v;
+            }
+        });
+    acc
+}
+
+/// [`matrix_checksum`] over one ranged walk.
+fn matrix_range_checksum(data: &MatrixData, range: Range<usize>, arena: &mut StreamArena) -> f64 {
+    let mut acc = 0.0f64;
+    data.row_stream()
+        .for_each_fiber_range_in(range, arena, &mut |r, cols, vals| {
+            acc += (r + cols.len()) as f64;
+            for &v in vals {
+                acc += v;
+            }
+        });
+    acc
+}
+
+/// [`tensor_checksum`] over one ranged walk.
+fn tensor_range_checksum(data: &TensorData, range: Range<usize>, arena: &mut StreamArena) -> f64 {
+    let mut acc = 0.0f64;
+    data.fiber_stream()
+        .for_each_fiber_range_in(range, arena, &mut |x, y, zs, vals| {
             acc += (x + y + zs.len()) as f64;
             for &v in vals {
                 acc += v;
@@ -143,7 +202,9 @@ proptest! {
     ) {
         // One arena, shared dirty across every format and two passes
         // each: the buffers a previous format left behind must never
-        // leak into the next format's emitted fibers.
+        // leak into the next format's emitted fibers. The ranged walks
+        // over thirds share the same dirty arena and must concatenate to
+        // the full stream.
         let mut arena = StreamArena::new();
         for fmt in matrix_formats() {
             let data = MatrixData::encode(&a, &fmt).unwrap();
@@ -157,6 +218,12 @@ proptest! {
                     pass
                 );
             }
+            prop_assert_eq!(
+                &matrix_fibers_thirds(&data, &mut arena),
+                &expect,
+                "matrix {} ranged thirds",
+                fmt
+            );
         }
         for fmt in tensor_formats() {
             let data = TensorData::encode(&t, &fmt).unwrap();
@@ -170,8 +237,41 @@ proptest! {
                     pass
                 );
             }
+            prop_assert_eq!(
+                &tensor_fibers_thirds(&data, &mut arena),
+                &expect,
+                "tensor {} ranged thirds",
+                fmt
+            );
         }
     }
+}
+
+/// The zero-allocation gates below share the process with sibling test
+/// threads, so the count must cover only the measuring thread: an
+/// allocation another thread makes while the closure runs is not the
+/// closure's.
+#[test]
+fn sibling_thread_allocations_are_not_counted() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    assert!(allocs::probe_installed(), "counting allocator installed");
+    let (go, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !go.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            drop(std::hint::black_box(vec![0u8; 64]));
+            done.store(true, Ordering::Release);
+        });
+        let (n, ()) = allocs::count_allocs(|| {
+            go.store(true, Ordering::Release);
+            while !done.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        });
+        assert_eq!(n, 0, "a sibling thread's allocation was counted");
+    });
 }
 
 #[test]
@@ -201,6 +301,17 @@ fn warm_arena_traversals_never_allocate() {
         let (allocs_steady, steady) = allocs::count_allocs(|| matrix_checksum(&data, &mut arena));
         assert_eq!(warm, steady, "{fmt}: passes must agree");
         assert_eq!(allocs_steady, 0, "{fmt}: steady-state traversal allocated");
+        for r in thirds(data.rows()) {
+            let mut arena = StreamArena::new();
+            let warm = matrix_range_checksum(&data, r.clone(), &mut arena);
+            let (n, steady) =
+                allocs::count_allocs(|| matrix_range_checksum(&data, r.clone(), &mut arena));
+            assert_eq!(warm, steady, "{fmt} range {r:?}: passes must agree");
+            assert_eq!(
+                n, 0,
+                "{fmt} range {r:?}: steady-state ranged walk allocated"
+            );
+        }
     }
     for fmt in tensor_formats() {
         let data = TensorData::encode(&t, &fmt).unwrap();
@@ -209,6 +320,17 @@ fn warm_arena_traversals_never_allocate() {
         let (allocs_steady, steady) = allocs::count_allocs(|| tensor_checksum(&data, &mut arena));
         assert_eq!(warm, steady, "{fmt}: passes must agree");
         assert_eq!(allocs_steady, 0, "{fmt}: steady-state traversal allocated");
+        for r in thirds(data.dim_x() * data.dim_y()) {
+            let mut arena = StreamArena::new();
+            let warm = tensor_range_checksum(&data, r.clone(), &mut arena);
+            let (n, steady) =
+                allocs::count_allocs(|| tensor_range_checksum(&data, r.clone(), &mut arena));
+            assert_eq!(warm, steady, "{fmt} range {r:?}: passes must agree");
+            assert_eq!(
+                n, 0,
+                "{fmt} range {r:?}: steady-state ranged walk allocated"
+            );
+        }
     }
 }
 

@@ -8,7 +8,8 @@
 //! This is the acceptance gate for the fiber-stream redesign: a format
 //! whose `RowMajorStream` / `FiberStream3` implementation dropped,
 //! duplicated, or reordered an element fails here immediately, as does a
-//! fast-path specialization that disagrees with the generic stream path.
+//! specialization (the tensor COO/CSF loops, the CSC-stationary SpMM)
+//! that disagrees with the reference.
 
 use proptest::prelude::*;
 use sparseflex::formats::{
@@ -16,10 +17,7 @@ use sparseflex::formats::{
     TensorFormat,
 };
 use sparseflex::kernels::gemm::gemm_naive;
-use sparseflex::kernels::{
-    mttkrp, mttkrp_via_stream, spgemm, spmm, spmm_sparse_b, spmm_via_stream, spmv, spmv_via_stream,
-    spttm, spttm_via_stream,
-};
+use sparseflex::kernels::{mttkrp, spgemm, spmm, spmm_sparse_b, spmv, spttm};
 
 /// Every matrix format variant (structural parameters chosen to exercise
 /// ragged block edges and saturating RLC runs).
@@ -92,12 +90,6 @@ proptest! {
         for fmt in matrix_formats() {
             let data = MatrixData::encode(&a, &fmt).unwrap();
             prop_assert_eq!(&spmv(&data, &xf).unwrap(), &expect, "spmv({})", fmt);
-            prop_assert_eq!(
-                &spmv_via_stream(&data, &xf).unwrap(),
-                &expect,
-                "spmv_via_stream({})",
-                fmt
-            );
         }
     }
 
@@ -110,12 +102,6 @@ proptest! {
         for fmt in matrix_formats() {
             let data = MatrixData::encode(&a, &fmt).unwrap();
             prop_assert_eq!(spmm(&data, &b).unwrap(), expect.clone(), "spmm({})", fmt);
-            prop_assert_eq!(
-                spmm_via_stream(&data, &b).unwrap(),
-                expect.clone(),
-                "spmm_via_stream({})",
-                fmt
-            );
         }
     }
 
@@ -192,12 +178,6 @@ proptest! {
         for fmt in tensor_formats() {
             let data = TensorData::encode(&t, &fmt).unwrap();
             prop_assert_eq!(spttm(&data, &f).unwrap(), expect.clone(), "spttm({})", fmt);
-            prop_assert_eq!(
-                spttm_via_stream(&data, &f).unwrap(),
-                expect.clone(),
-                "spttm_via_stream({})",
-                fmt
-            );
         }
     }
 
@@ -230,12 +210,6 @@ proptest! {
                 mttkrp(&data, &b, &c).unwrap(),
                 expect.clone(),
                 "mttkrp({})",
-                fmt
-            );
-            prop_assert_eq!(
-                mttkrp_via_stream(&data, &b, &c).unwrap(),
-                expect.clone(),
-                "mttkrp_via_stream({})",
                 fmt
             );
         }

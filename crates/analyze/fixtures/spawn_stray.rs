@@ -6,8 +6,8 @@
 fn convert_all(mats: Vec<Matrix>) -> Vec<Converted> {
     let mut handles = Vec::new();
     for m in mats {
-        // VIOLATION: stray spawn bypasses the worker-count precedence
-        // and arena pooling.
+        // VIOLATION: stray spawn adds a second level of host threads
+        // beside the serve worker pool.
         handles.push(std::thread::spawn(move || convert(m)));
     }
     handles.into_iter().map(|h| h.join().unwrap_or_default()).collect()

@@ -77,8 +77,8 @@ pub struct AnalysisConfig {
     pub hot_files: Vec<String>,
     /// `(file, fn)` pairs whose bodies are hot paths.
     pub hot_fns: Vec<(String, String)>,
-    /// Files allowed to spawn/scope threads (the sanctioned parallel
-    /// modules).
+    /// Files allowed to spawn/scope threads (the serving worker pool
+    /// and its bench harness).
     pub spawn_sanctioned: Vec<String>,
 }
 
@@ -96,8 +96,6 @@ impl AnalysisConfig {
             hot_files: vec!["crates/kernels/src/lanes.rs".into()],
             hot_fns: vec![("crates/kernels/src/spgemm.rs".into(), "rowwise_row".into())],
             spawn_sanctioned: vec![
-                "crates/kernels/src/parallel.rs".into(),
-                "crates/core/src/planner.rs".into(),
                 "crates/serve/src/service.rs".into(),
                 "crates/bench/src/serving.rs".into(),
             ],

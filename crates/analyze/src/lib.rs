@@ -17,7 +17,7 @@
 //! | `lock-order-cycle` | the Mutex-acquisition graph must stay acyclic (deadlock freedom) |
 //! | `unwrap-in-library` | no `.unwrap()`/`.expect(` in non-test library code — typed errors end to end |
 //! | `unchecked-narrowing-cast` | every `as u32`/`as u16` on wire encode paths needs a dominating range guard |
-//! | `thread-spawn-containment` | threads are created only in the sanctioned parallel modules |
+//! | `thread-spawn-containment` | threads are created only in the serve worker pool and its bench harness |
 //!
 //! Mechanics:
 //!

@@ -1,20 +1,19 @@
 //! `lock-order-cycle`: a static Mutex-acquisition graph and deadlock
 //! detector.
 //!
-//! The serving stack acquires a growing web of locks — the service's
-//! `central` state, per-worker `deques`, per-job ticket slots, the
-//! sharded `PlanCache`, the planner's `tile_arenas` pool. A deadlock
-//! needs two threads acquiring the same pair of locks in opposite
-//! orders; this lint extracts the **lock-while-holding** edges from
-//! every function and reports any cycle in the resulting graph as a
-//! potential deadlock, with the full edge list (file:line each) in the
-//! finding.
+//! The serving stack acquires a web of locks — the service's `central`
+//! state, per-job ticket slots, the sharded `PlanCache`, the planner's
+//! `tile_arenas` pool. A deadlock needs two threads acquiring the same
+//! pair of locks in opposite orders; this lint extracts the
+//! **lock-while-holding** edges from every function and reports any
+//! cycle in the resulting graph as a potential deadlock, with the full
+//! edge list (file:line each) in the finding.
 //!
 //! Extraction is token-level and deliberately conservative:
 //!
 //! - `X.lock()` acquires the lock named by the last field/identifier of
 //!   the receiver chain (`self.shared.central.lock()` → `central`,
-//!   `self.deques[w].lock()` → `deques`); numeric tuple fields and
+//!   `self.shards[i].lock()` → `shards`); numeric tuple fields and
 //!   `self`/`shared` wrappers are skipped.
 //! - A `let`-bound guard is held until `drop(binding)` or the end of
 //!   its block; an unbound (temporary) guard is held until the end of
@@ -29,7 +28,7 @@
 //!
 //! Edges are informational (printed by the report); only cycles over
 //! distinct locks become gate findings. Same-name re-acquisition
-//! (`deques` while holding `deques`) is recorded as a self-edge in the
+//! (`shards` while holding `shards`) is recorded as a self-edge in the
 //! edge list for human review, but conservative guard-lifetime
 //! over-approximation makes it too noisy to gate on.
 

@@ -1,14 +1,14 @@
 //! `thread-spawn-containment`: threads are created only in the
-//! sanctioned parallel modules.
+//! sanctioned modules.
 //!
-//! The workspace's parallelism is deliberately concentrated: the
-//! chunked fan-out helper behind `run_batch` (`kernels::parallel`), the
-//! planner's tile executor, the serving worker pool, and the serving
-//! bench harness. The kernels themselves are sequential. A
-//! `thread::spawn` or `thread::scope` anywhere else escapes the
-//! worker-count precedence (`with_workers` > `SPARSEFLEX_WORKERS` >
-//! hardware), the arena-pool discipline, and the deterministic-scheduling
-//! test hooks — so it is flagged.
+//! The library has one level of host parallelism: the serving worker
+//! pool, where each thread runs whole jobs popped from one central
+//! queue. The kernels, the planner's tile executor and `run_batch` all
+//! run sequentially on their caller's thread; the serving bench harness
+//! is the only other sanctioned spawn site. A `thread::spawn`,
+//! `thread::scope` or `thread::Builder` anywhere else adds a second
+//! level of threads that no benchmark has shown to pay, so it is
+//! flagged.
 
 use crate::framework::{AnalysisConfig, Finding};
 use crate::lexer::SourceFile;
@@ -39,10 +39,9 @@ pub fn run(src: &SourceFile, config: &AnalysisConfig) -> Vec<Finding> {
                     line: li + 1,
                     excerpt: src.excerpt(li),
                     message: format!(
-                        "`{pat}` outside the sanctioned parallel modules; route the work \
-                         through kernels::parallel / the planner's tile executor / the \
-                         serve worker pool so worker-count precedence and arena pooling \
-                         apply"
+                        "`{pat}` outside the sanctioned modules; run the work on the \
+                         caller's thread, or submit it to the serve worker pool, the \
+                         library's one level of host parallelism"
                     ),
                 });
             }

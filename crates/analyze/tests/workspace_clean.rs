@@ -69,13 +69,15 @@ fn lock_graph_stays_acyclic() {
     let cycles = report.of("lock-order-cycle");
     assert!(cycles.is_empty(), "{cycles:?}");
     // The detector is actually looking at the real lock web, not an
-    // empty graph: the serve scheduler's deque->central edge must exist.
+    // empty graph: the plan cache's shard guard is held across calls
+    // that take a shard's `state` lock, so a shards->state edge must
+    // exist.
     assert!(
         report
             .edges
             .iter()
-            .any(|e| e.from == "deques" && e.to == "central"),
-        "expected serve work-stealing edges in {:?}",
+            .any(|e| e.from == "shards" && e.to == "state"),
+        "expected plan-cache shard edges in {:?}",
         report.edges
     );
 }

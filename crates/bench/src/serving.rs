@@ -57,8 +57,6 @@ pub struct WorkerPoint {
     pub cache_hits: u64,
     /// Plan-cache misses during the stream.
     pub cache_misses: u64,
-    /// Jobs executed by a worker that stole them from a sibling.
-    pub stolen: u64,
 }
 
 /// The 8-worker cache-contention comparison, measured and modeled.
@@ -143,7 +141,6 @@ fn serve_once(frames: &[Vec<u8>], workers: usize, warm: Option<&[StoredTrace]>) 
             queue_capacity: frames.len() + 16,
             tenant_inflight_cap: frames.len() + 16,
             cache_shards: CACHE_SHARDS,
-            dispatch_batch: 4,
             start_paused: true,
             ..ServeConfig::default()
         },
@@ -184,7 +181,6 @@ fn serve_once(frames: &[Vec<u8>], workers: usize, warm: Option<&[StoredTrace]>) 
         p99_ms: pct(0.99),
         cache_hits: stats.cache.hits,
         cache_misses: stats.cache.misses,
-        stolen: stats.jobs_stolen,
     }
 }
 
@@ -307,19 +303,12 @@ pub fn rows_from(m: &ServingMeasurement) -> Vec<String> {
              warm_traces={}",
             m.job_count, m.tenants, m.shapes, m.warm_traces
         ),
-        "workers,jobs_per_sec,p50_ms,p95_ms,p99_ms,cache_hits,cache_misses,stolen".to_string(),
+        "workers,jobs_per_sec,p50_ms,p95_ms,p99_ms,cache_hits,cache_misses".to_string(),
     ];
     for p in &m.throughput {
         out.push(format!(
-            "{},{:.2},{:.3},{:.3},{:.3},{},{},{}",
-            p.workers,
-            p.jobs_per_sec,
-            p.p50_ms,
-            p.p95_ms,
-            p.p99_ms,
-            p.cache_hits,
-            p.cache_misses,
-            p.stolen
+            "{},{:.2},{:.3},{:.3},{:.3},{},{}",
+            p.workers, p.jobs_per_sec, p.p50_ms, p.p95_ms, p.p99_ms, p.cache_hits, p.cache_misses
         ));
     }
     let c = &m.contention;
@@ -356,7 +345,7 @@ pub fn json_from(m: &ServingMeasurement) -> String {
         s.push_str(&format!(
             "    {{\"workers\": {}, \"jobs_per_sec\": {:.2}, \"p50_ms\": {:.3}, \
              \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"stolen\": {}}}{}\n",
+             \"cache_misses\": {}}}{}\n",
             p.workers,
             p.jobs_per_sec,
             p.p50_ms,
@@ -364,7 +353,6 @@ pub fn json_from(m: &ServingMeasurement) -> String {
             p.p99_ms,
             p.cache_hits,
             p.cache_misses,
-            p.stolen,
             if i + 1 < m.throughput.len() { "," } else { "" }
         ));
     }
@@ -444,7 +432,6 @@ mod tests {
                 p99_ms: 3.0,
                 cache_hits: 2,
                 cache_misses: 2,
-                stolen: 0,
             }],
             contention: ContentionComparison {
                 workers: 8,

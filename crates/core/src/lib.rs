@@ -29,9 +29,9 @@
 //!   into scratchpad-sized column tiles and MINT converts tile *t+1*
 //!   while the array computes tile *t* (double-buffered), lifting the
 //!   one-residency operand limit and exposing overlapped vs serial cycle
-//!   totals; the batch front-end serves many workloads across parallel
-//!   virtual accelerator instances, sharing the system planner's cache
-//!   across jobs, threads and successive batch calls.
+//!   totals; the batch front-end runs many workloads in submission
+//!   order, sharing the system planner's cache across jobs and
+//!   successive batch calls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

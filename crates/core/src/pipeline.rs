@@ -17,19 +17,18 @@
 //! [`RunError::StationaryTooLarge`]) is split until every stationary
 //! unit fits, so workloads the monolithic path rejects run here.
 //!
-//! On top of the pipeline, [`FlexSystem::run_batch`] serves many
-//! independent workloads across parallel *virtual accelerator instances*
-//! (one scoped worker thread each), sharing the system's own
-//! [`Planner`] — and therefore its bounded plan cache — across jobs,
-//! threads **and successive batch calls**, so a long-lived service pays
-//! each workload shape's MCF×ACF search once.
+//! On top of the pipeline, [`FlexSystem::run_batch`] runs many
+//! independent workloads in submission order on the calling thread,
+//! sharing the system's own [`Planner`] — and therefore its bounded plan
+//! cache — across jobs **and successive batch calls**, so each workload
+//! shape's MCF×ACF search is paid once. Concurrency across jobs is the
+//! serving layer's worker pool, not this front-end's.
 
 use crate::plan::ExecutionPlan;
 use crate::planner::{PlanDiscipline, Planner};
 use crate::system::{FlexSystem, RunError};
 use sparseflex_accel::exec::{ActivityCounts, CycleBreakdown};
 use sparseflex_formats::{CooMatrix, DenseMatrix, SparseMatrix};
-use sparseflex_kernels::parallel::{par_chunks, worker_count};
 use sparseflex_mint::tiled::OverlapSchedule;
 use sparseflex_mint::ConversionReport;
 use sparseflex_sage::{Evaluation, SageWorkload};
@@ -156,8 +155,6 @@ pub struct BatchRun {
     pub plans_computed: u64,
     /// Plan-cache entries evicted (LRU) during this batch.
     pub plan_cache_evictions: u64,
-    /// Virtual accelerator instances (worker threads) used.
-    pub workers: usize,
 }
 
 impl BatchRun {
@@ -167,8 +164,7 @@ impl BatchRun {
     }
 
     /// Sum of overlapped cycles across successful jobs (the batch's
-    /// modeled service time on one instance; divide by `workers` for the
-    /// parallel estimate).
+    /// modeled service time on one accelerator instance).
     pub fn total_overlapped_cycles(&self) -> u64 {
         self.results
             .iter()
@@ -214,15 +210,13 @@ impl FlexSystem {
         self.planner.execute_plan(&self.sage, &plan, a, b)
     }
 
-    /// Serve a batch of independent workloads across parallel virtual
-    /// accelerator instances, sharing the system's own [`Planner`].
+    /// Run a batch of independent workloads in submission order,
+    /// sharing the system's own [`Planner`].
     ///
-    /// Jobs are partitioned into contiguous chunks, one scoped worker
-    /// thread per chunk (each thread simulates its own accelerator
-    /// instance); results come back in submission order. Repeated
-    /// workload shapes hit the bounded plan cache and skip the MCF×ACF
-    /// search — **including shapes cached by earlier `run_batch` calls**
-    /// on the same system, since the planner (and its cache) persists.
+    /// Repeated workload shapes hit the bounded plan cache and skip the
+    /// MCF×ACF search — **including shapes cached by earlier `run_batch`
+    /// calls** on the same system, since the planner (and its cache)
+    /// persists.
     pub fn run_batch(&self, jobs: &[BatchJob]) -> BatchRun {
         self.run_batch_with_planner(jobs, &self.planner)
     }
@@ -232,47 +226,38 @@ impl FlexSystem {
     /// a cold cache).
     pub fn run_batch_with_planner(&self, jobs: &[BatchJob], planner: &Planner) -> BatchRun {
         let before = planner.cache.counters();
-        let workers = worker_count(jobs.len());
         // Hit/miss counts are tallied from this batch's own plans (the
         // `from_cache` bit), not from global cache-counter deltas, so
-        // concurrent batches sharing one planner never misattribute each
-        // other's searches: every job either hits or computes, exactly.
-        let hits = std::sync::atomic::AtomicU64::new(0);
-        let misses = std::sync::atomic::AtomicU64::new(0);
-        let mut results: Vec<Option<Result<PipelineRun, RunError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        par_chunks(&mut results, workers, |offset, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let job = &jobs[offset + i];
-                *slot = Some(
-                    planner
-                        .plan_job(
-                            &self.sage,
-                            &job.a,
-                            &job.b,
-                            &job.workload,
-                            PlanDiscipline::Pipelined,
-                        )
-                        .and_then(|plan| {
-                            let counter = if plan.from_cache { &hits } else { &misses };
-                            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            planner.execute_plan(&self.sage, &plan, &job.a, &job.b)
-                        }),
-                );
-            }
-        });
+        // batches on other threads sharing one planner never
+        // misattribute each other's searches: every job either hits or
+        // computes, exactly.
+        let (mut hits, mut misses) = (0, 0);
+        let results = jobs
+            .iter()
+            .map(|job| {
+                let plan = planner.plan_job(
+                    &self.sage,
+                    &job.a,
+                    &job.b,
+                    &job.workload,
+                    PlanDiscipline::Pipelined,
+                )?;
+                if plan.from_cache {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+                planner.execute_plan(&self.sage, &plan, &job.a, &job.b)
+            })
+            .collect();
         // Evictions cannot be pinned to a single job; the global delta is
         // exact for the common one-batch-at-a-time serving pattern.
         let delta = planner.cache.counters().since(before);
         BatchRun {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every job slot is filled by its worker"))
-                .collect(),
-            plan_cache_hits: hits.into_inner(),
-            plans_computed: misses.into_inner(),
+            results,
+            plan_cache_hits: hits,
+            plans_computed: misses,
             plan_cache_evictions: delta.evictions,
-            workers,
         }
     }
 }
@@ -396,8 +381,7 @@ mod tests {
     fn batch_serves_jobs_and_caches_plans() {
         let sys = small_system();
         let mut jobs = Vec::new();
-        // 6 jobs over 2 distinct shapes -> at most 2 searches... but the
-        // racing workers may each miss once; at least half must hit.
+        // 6 jobs over 2 distinct shapes: 2 searches, 4 cache hits.
         for i in 0..3u64 {
             jobs.push(BatchJob::spgemm(
                 random_matrix(16, 20, 60, 10 + i),
@@ -413,13 +397,9 @@ mod tests {
         let batch = sys.run_batch(&jobs);
         assert_eq!(batch.results.len(), 6);
         assert_eq!(batch.succeeded(), 6);
-        assert!(batch.workers >= 1);
         assert_eq!(sys.planner.cache.len(), 2, "two distinct shapes");
-        assert!(
-            batch.plan_cache_hits + batch.plans_computed == 6,
-            "every job either hits or computes"
-        );
-        assert!(batch.plan_cache_hits >= 2, "repeated shapes must hit");
+        assert_eq!(batch.plans_computed, 2, "each shape searches once");
+        assert_eq!(batch.plan_cache_hits, 4, "repeated shapes must hit");
         // Every job's output is correct.
         for (job, res) in jobs.iter().zip(&batch.results) {
             let run = res.as_ref().unwrap();
@@ -427,6 +407,31 @@ mod tests {
             assert!(run.output.approx_eq(&expect, 1e-9));
         }
         assert!(batch.total_overlapped_cycles() > 0);
+    }
+
+    #[test]
+    fn repeated_job_in_one_batch_hits_exactly_once() {
+        let sys = small_system();
+        let j0 = BatchJob::spgemm(
+            random_matrix(16, 20, 60, 50),
+            random_matrix(20, 24, 80, 51),
+            DataType::Fp32,
+        );
+        let j1 = BatchJob::spgemm(
+            random_matrix(12, 16, 40, 52),
+            random_matrix(16, 18, 50, 53),
+            DataType::Fp32,
+        );
+        let batch = sys.run_batch(&[j0.clone(), j1, j0]);
+        assert_eq!(batch.succeeded(), 3);
+        assert_eq!(batch.plan_cache_hits, 1);
+        assert_eq!(batch.plans_computed, 2);
+        assert!(!batch.results[0].as_ref().unwrap().plan_cached());
+        assert!(batch.results[2].as_ref().unwrap().plan_cached());
+        assert_eq!(
+            batch.results[0].as_ref().unwrap().output,
+            batch.results[2].as_ref().unwrap().output
+        );
     }
 
     #[test]

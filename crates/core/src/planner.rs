@@ -36,7 +36,6 @@ use sparseflex_formats::{
     CooMatrix, CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, MatrixTile, SparseMatrix,
     StreamArena, TilePolicy,
 };
-use sparseflex_kernels::parallel::worker_count;
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
 use sparseflex_mint::{conversion_cost, ConversionReport};
 use sparseflex_sage::eval::Evaluation;
@@ -351,7 +350,7 @@ impl PlanCache {
 /// The SAGE-driven planner: turns (operands, workload) into an
 /// [`ExecutionPlan`] and executes plans on the accelerator. One planner
 /// (and its cache) is shared by every `FlexSystem` run path and across
-/// batch worker threads.
+/// the serving workers.
 #[derive(Debug, Default)]
 pub struct Planner {
     /// The bounded evaluation cache.
@@ -364,12 +363,12 @@ pub struct Planner {
     /// the per-lane coefficients that scale new stats predictions
     /// (bumping the generation invalidates stale cache rows).
     pub calibrator: Calibrator,
-    /// Grow-only per-worker arena pool for the tile executor: the first
-    /// pipelined run warms one arena per tile worker, later runs convert
-    /// and simulate their tiles without fresh traversal allocations. A
-    /// `Mutex` (not per-call arenas) because one planner is shared across
-    /// batch worker threads; lock hold times are the lease/restore pair,
-    /// never a whole execution.
+    /// Grow-only arena pool for the tile executor: each execution takes
+    /// one arena, so after the first runs tiles convert and simulate
+    /// without fresh traversal allocations. A `Mutex` (not per-call
+    /// arenas) because one planner is shared across the serving workers;
+    /// the lock is held only to take or give back an arena, never for a
+    /// whole execution.
     tile_arenas: Mutex<ArenaPool>,
 }
 
@@ -712,17 +711,16 @@ fn prepare_operands(
 }
 
 /// Convert each scheduled tile MCF→ACF and run it on the cycle-accurate
-/// simulator — in parallel across tile workers when the schedule has more
-/// than one tile. This is the **one** per-tile sequence shared by
-/// `execute_plan` and the structure-model oracle, so the oracle's
-/// cycle-exactness guarantee cannot drift from what execution does.
+/// simulator, in schedule order on the calling thread. This is the
+/// **one** per-tile sequence shared by `execute_plan` and the
+/// structure-model oracle, so the oracle's cycle-exactness guarantee
+/// cannot drift from what execution does.
 ///
-/// Tiles are chunked contiguously and each scoped worker leases one
-/// grow-only arena from the planner's pool: the first run warms each
-/// worker's buffers (traversal scratch and the recycled CSR triple),
-/// later runs convert without fresh allocations. Tiles are independent
-/// (disjoint column ranges, shared read-only `A`), so results are
-/// identical to the sequential loop and re-assembled in schedule order.
+/// The run takes one grow-only arena from the planner's pool: the first
+/// run warms its buffers (traversal scratch and the recycled CSR triple),
+/// later runs convert without fresh allocations. The modeled machine's
+/// convert∥compute overlap is priced in cycles by
+/// [`overlap_schedule`]; it needs no host threads.
 fn convert_and_execute_tiles(
     sage: &Sage,
     choice: &sparseflex_sage::FormatChoice,
@@ -731,54 +729,23 @@ fn convert_and_execute_tiles(
     tiles_mem: &[MatrixTile],
     pool: &Mutex<ArenaPool>,
 ) -> Result<Vec<(ConversionReport, SimResult)>, RunError> {
-    let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
-    let a_csr_ref = a_csr.as_deref();
     fn lock(p: &Mutex<ArenaPool>) -> std::sync::MutexGuard<'_, ArenaPool> {
         p.lock().unwrap_or_else(|e| e.into_inner())
     }
-    let run_chunk = |tiles: &[MatrixTile], arena: &mut StreamArena| {
-        tiles
-            .iter()
-            .map(|tile| {
-                let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
-                let sim = execute_tile(sage, arena, a_acf, a_csr_ref, &tile_acf, spgemm)?;
-                Ok((conv, sim))
-            })
-            .collect::<Result<Vec<_>, RunError>>()
-    };
-    let workers = worker_count(tiles_mem.len());
-    if workers <= 1 {
-        let mut arenas = lock(pool).lease(1);
-        let out = run_chunk(tiles_mem, &mut arenas[0]);
-        lock(pool).restore(arenas);
-        return out;
-    }
-    let chunk = tiles_mem.len().div_ceil(workers);
-    let chunks: Vec<&[MatrixTile]> = tiles_mem.chunks(chunk).collect();
-    let mut arenas = lock(pool).lease(chunks.len());
-    let results: Vec<Result<Vec<(ConversionReport, SimResult)>, RunError>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .zip(arenas.iter_mut())
-                .map(|(tiles, arena)| {
-                    let run_chunk = &run_chunk;
-                    s.spawn(move || run_chunk(tiles, arena))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tile worker panicked"))
-                .collect()
-        });
-    // Arenas go back to the pool before error propagation so a failed
-    // tile does not leak the warmed buffers.
-    lock(pool).restore(arenas);
-    let mut out = Vec::with_capacity(tiles_mem.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+    let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
+    let mut arena = lock(pool).take();
+    let out = tiles_mem
+        .iter()
+        .map(|tile| {
+            let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
+            let sim = execute_tile(sage, &mut arena, a_acf, a_csr.as_deref(), &tile_acf, spgemm)?;
+            Ok((conv, sim))
+        })
+        .collect();
+    // The arena goes back before error propagation so a failed tile does
+    // not leak the warmed buffers.
+    lock(pool).give_back(arena);
+    out
 }
 
 /// Stats-model prediction: SAGE's whole-operand analytic totals scaled

@@ -118,15 +118,14 @@ impl StreamArena {
     }
 }
 
-/// A grow-only pool of [`StreamArena`]s for callers that fan work out
-/// across threads (the planner's tile executor).
+/// A grow-only pool of [`StreamArena`]s shared by concurrent callers of
+/// one planner (the serving workers).
 ///
-/// Each worker leases its own arena with [`lease`](Self::lease) and hands
-/// it back with [`restore`](Self::restore), so every per-thread traversal
-/// keeps the zero-alloc steady state: the first run grows each worker's
-/// arena to fit its share, and later runs at the same (or lower) worker
-/// count allocate nothing. Leasing moves the arenas out, so they can cross
-/// a `Mutex` or otherwise detach from the pool borrow.
+/// Each execution takes one arena with [`take`](Self::take) and hands it
+/// back with [`give_back`](Self::give_back), so every caller keeps the
+/// zero-alloc steady state: the first run grows an arena to fit, and
+/// later runs reuse it. Taking moves the arena out, so it can cross a
+/// `Mutex` or otherwise detach from the pool borrow.
 #[derive(Debug, Default)]
 pub struct ArenaPool {
     arenas: Vec<StreamArena>,
@@ -138,19 +137,17 @@ impl ArenaPool {
         Self::default()
     }
 
-    /// Move `n` arenas out of the pool (warmest first), topping up with
-    /// fresh ones if needed. Pair with [`restore`](Self::restore).
-    pub fn lease(&mut self, n: usize) -> Vec<StreamArena> {
-        if self.arenas.len() < n {
-            self.arenas.resize_with(n, StreamArena::new);
-        }
-        self.arenas.split_off(self.arenas.len() - n)
+    /// Move the most recently returned (warmest) arena out of the pool,
+    /// or a fresh one if the pool is empty. Pair with
+    /// [`give_back`](Self::give_back).
+    pub fn take(&mut self) -> StreamArena {
+        self.arenas.pop().unwrap_or_default()
     }
 
-    /// Return leased arenas (with whatever capacity they grew) to the
-    /// pool for the next caller.
-    pub fn restore(&mut self, arenas: Vec<StreamArena>) {
-        self.arenas.extend(arenas);
+    /// Return an arena (with whatever capacity it grew) to the pool for
+    /// the next caller.
+    pub fn give_back(&mut self, arena: StreamArena) {
+        self.arenas.push(arena);
     }
 }
 
@@ -160,14 +157,14 @@ mod tests {
     use crate::CsrMatrix;
 
     #[test]
-    fn pool_lease_restore_round_trips_capacity() {
+    fn pool_take_give_back_round_trips_capacity() {
         let mut pool = ArenaPool::new();
-        let mut leased = pool.lease(2);
-        leased[0].vals.reserve(64);
-        pool.restore(leased);
-        let again = pool.lease(2);
-        assert!(again.iter().any(|a| a.vals.capacity() >= 64));
-        pool.restore(again);
+        let mut arena = pool.take();
+        arena.vals.reserve(64);
+        pool.give_back(arena);
+        let again = pool.take();
+        assert!(again.vals.capacity() >= 64);
+        pool.give_back(again);
     }
 
     #[test]

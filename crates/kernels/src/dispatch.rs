@@ -17,9 +17,8 @@
 //! row-major stream does not expose). They produce results identical to
 //! the stream path.
 //!
-//! The kernels are sequential. Parallelism lives one level up, where the
-//! work items are large enough to pay for a thread: the planner's tile
-//! executor and `run_batch` in `sparseflex-core`, and the serving workers.
+//! The kernels are sequential. The workspace's only host threads are the
+//! serving layer's workers, each running whole jobs.
 //!
 //! All entry points validate operand shapes and return
 //! [`KernelError::ShapeMismatch`] instead of panicking.

@@ -27,10 +27,9 @@
 //! Every matrix operation runs one stream path for every format; the
 //! tensor kernels keep their COO and CSF loops and `spmm_sparse_b` keeps
 //! its CSC-stationary path (see [`mod@dispatch`] for why). The kernels are
-//! sequential: the workspace's parallelism lives in the planner's tile
-//! executor, `run_batch` and the serving workers, which
-//! [`mod@parallel`]'s worker-count policy sizes. Shape mismatches surface
-//! as [`KernelError`] values rather than panics.
+//! sequential: the workspace's only host threads are the serving
+//! layer's workers, each running whole jobs. Shape mismatches surface as
+//! [`KernelError`] values rather than panics.
 //!
 //! These kernels are used three ways across the workspace: as the
 //! functional oracle for the accelerator simulator, as the measured
@@ -46,7 +45,6 @@ pub mod gemm;
 pub mod im2col;
 pub mod lanes;
 pub mod mttkrp;
-pub mod parallel;
 pub mod spgemm;
 pub mod spmm;
 pub mod spttm;

@@ -17,8 +17,9 @@
 //!   admission control (queue-full backpressure + per-tenant in-flight
 //!   caps), per-tenant weighted-fair stride scheduling with three
 //!   priority classes, and a pool of persistent worker threads (virtual
-//!   accelerator instances) with work stealing between per-worker
-//!   deques, all sharing one plan cache sharded by key hash.
+//!   accelerator instances) that each pop one job at a time from the
+//!   central queue, all sharing one plan cache sharded by key hash. The
+//!   pool is the only place the library runs host threads.
 //!
 //! ## Example
 //!

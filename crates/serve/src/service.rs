@@ -1,6 +1,5 @@
 //! The multi-tenant job service: admission control, weighted-fair
-//! scheduling, and a work-stealing worker pool of virtual accelerator
-//! instances.
+//! scheduling, and a worker pool of virtual accelerator instances.
 //!
 //! Submission path: a wire frame (or an in-process [`WireJob`]) passes
 //! **admission control** — a bounded central queue plus a per-tenant
@@ -17,10 +16,11 @@
 //! Within a tenant, High beats Normal beats Low.
 //!
 //! Workers are persistent threads, each modeling one virtual accelerator
-//! instance with its own deque: a worker pulls a batch from the central
-//! queues, executes the first job, and parks the rest in its deque; idle
-//! workers **steal** from the back of siblings' deques before sleeping,
-//! so one worker's burst spreads across the pool.
+//! instance. An idle worker pops one job from the stride scheduler under
+//! the central lock and runs it to completion on its own thread; with
+//! nothing queued it sleeps until a submission arrives. These workers
+//! are the only host threads in the library: a job's tiles and a
+//! `run_batch` call both run sequentially on the thread that calls them.
 //!
 //! The pool shares one planner whose [`PlanCache`] is sharded by key
 //! hash ([`PlanCache::with_shards`]), so concurrent workers planning
@@ -183,9 +183,6 @@ pub struct JobOutcome {
     pub dispatch_seq: u64,
     /// Worker (virtual accelerator instance) that executed the job.
     pub worker: usize,
-    /// True when the executing worker stole the job from a sibling's
-    /// deque.
-    pub stolen: bool,
 }
 
 /// One-shot completion slot shared between worker and waiter.
@@ -237,9 +234,6 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Total plan-cache capacity, split across shards.
     pub cache_capacity: usize,
-    /// Jobs a worker pulls from the central queues per dispatch; the
-    /// surplus parks in its own deque where siblings can steal it.
-    pub dispatch_batch: usize,
     /// Start with dispatch paused (submissions accepted, nothing
     /// executed) until [`FlexService::resume`] — lets tests line up a
     /// full backlog so scheduling order is deterministic.
@@ -254,7 +248,6 @@ impl Default for ServeConfig {
             tenant_inflight_cap: 128,
             cache_shards: 8,
             cache_capacity: sparseflex_core::DEFAULT_PLAN_CACHE_CAPACITY,
-            dispatch_batch: 4,
             start_paused: false,
         }
     }
@@ -288,7 +281,9 @@ pub struct ServiceStats {
     pub jobs_completed: u64,
     /// Submissions rejected across all tenants.
     pub jobs_rejected: u64,
-    /// Jobs executed by a worker that stole them from a sibling.
+    /// Always 0: workers take jobs from one central queue and never
+    /// steal from each other. Kept so existing readers of the field
+    /// still compile.
     pub jobs_stolen: u64,
     /// Plan-cache counters aggregated across shards.
     pub cache: CacheCounters,
@@ -309,7 +304,7 @@ struct Pending {
     admitted_at: Instant,
 }
 
-/// A dispatched job travelling through a worker deque.
+/// A dispatched job on its way to the worker that runs it.
 struct Active {
     job_id: u64,
     tenant: u32,
@@ -340,9 +335,6 @@ impl TenantState {
 struct Central {
     tenants: HashMap<u32, TenantState>,
     queued_total: usize,
-    /// Jobs parked in worker deques (stealable). Tracked under the
-    /// central lock so sleeping workers can't miss a park notification.
-    parked_total: usize,
     /// Virtual time: the pass of the most recently dispatched tenant.
     /// Tenants entering (or re-entering) the backlog start here, so an
     /// idle tenant cannot bank credit and then monopolize the pool.
@@ -357,8 +349,6 @@ struct Shared {
     central: Mutex<Central>,
     /// Signalled on submissions, resume, and shutdown.
     work_ready: Condvar,
-    deques: Vec<Mutex<VecDeque<Active>>>,
-    stolen: AtomicU64,
     next_job_id: AtomicU64,
     clock_hz: f64,
     config: ServeConfig,
@@ -398,10 +388,7 @@ impl Shared {
     }
 
     /// Execute one job on this worker and deliver the outcome.
-    fn run_job(&self, active: Active, worker: usize, stolen: bool) {
-        if stolen {
-            self.stolen.fetch_add(1, Ordering::Relaxed);
-        }
+    fn run_job(&self, active: Active, worker: usize) {
         let Active {
             job_id,
             tenant,
@@ -428,7 +415,6 @@ impl Shared {
                 queue_wait_cycles,
                 dispatch_seq,
                 worker,
-                stolen,
             });
         {
             let mut central = lock_clean(&self.central);
@@ -437,96 +423,35 @@ impl Shared {
                 t.completed += 1;
             }
         }
-        // A drained queue slot may now admit a blocked submitter; there
-        // is no separate submitter condvar — submission is non-blocking
-        // — but waking workers lets them re-check the central queues.
+        // Completion wakes only the ticket's waiter: submission never
+        // blocks, so no submitter waits on the freed in-flight slot.
         let (lock, cvar) = &*slot;
         *lock_clean(lock) = Some(outcome);
         cvar.notify_all();
     }
 
-    /// Note a job leaving a deque (popped or stolen).
-    fn unpark_one(&self) {
-        let mut central = lock_clean(&self.central);
-        central.parked_total = central.parked_total.saturating_sub(1);
-    }
-
-    /// Worker main loop: own deque → central queues (batched) → steal
-    /// from siblings → sleep.
-    fn worker_loop(self: &Arc<Self>, worker: usize) {
+    /// Worker main loop: pop the next job under the central lock and run
+    /// it; sleep while paused or idle; return on shutdown.
+    fn worker_loop(&self, worker: usize) {
         loop {
-            // 1. Own deque, oldest first.
-            if let Some(active) = lock_clean(&self.deques[worker]).pop_front() {
-                self.unpark_one();
-                self.run_job(active, worker, false);
-                continue;
-            }
-            // 2. Pull a batch from the central queues; execute the first
-            //    job, park the surplus in our deque for siblings to
-            //    steal.
-            let first = {
+            let active = {
                 let mut central = lock_clean(&self.central);
-                if central.shutdown {
-                    return;
-                }
-                if central.paused {
-                    let _unused = self
+                loop {
+                    if central.shutdown {
+                        return;
+                    }
+                    if !central.paused {
+                        if let Some(active) = self.dispatch_one(&mut central) {
+                            break active;
+                        }
+                    }
+                    central = self
                         .work_ready
                         .wait(central)
                         .unwrap_or_else(PoisonError::into_inner);
-                    continue;
                 }
-                let mut batch = Vec::new();
-                while batch.len() < self.config.dispatch_batch.max(1) {
-                    match self.dispatch_one(&mut central) {
-                        Some(a) => batch.push(a),
-                        None => break,
-                    }
-                }
-                drop(central);
-                let mut it = batch.into_iter();
-                let first = it.next();
-                let surplus: Vec<Active> = it.collect();
-                if !surplus.is_empty() {
-                    let count = surplus.len();
-                    lock_clean(&self.deques[worker]).extend(surplus);
-                    // Publish the parked count under the central lock
-                    // before notifying, so a sibling racing into its
-                    // sleep check either sees parked work or receives
-                    // the wakeup — never neither.
-                    let mut central = lock_clean(&self.central);
-                    central.parked_total += count;
-                    drop(central);
-                    self.work_ready.notify_all();
-                }
-                first
             };
-            if let Some(active) = first {
-                self.run_job(active, worker, false);
-                continue;
-            }
-            // 3. Steal from the back of a sibling's deque (the youngest
-            //    parked job, keeping the victim's locality on the front).
-            let stolen = (0..self.deques.len())
-                .filter(|&v| v != worker)
-                .find_map(|v| lock_clean(&self.deques[v]).pop_back());
-            if let Some(active) = stolen {
-                self.unpark_one();
-                self.run_job(active, worker, true);
-                continue;
-            }
-            // 4. Nothing anywhere: sleep until submission/resume/
-            //    shutdown/parked work appears.
-            let central = lock_clean(&self.central);
-            if central.shutdown {
-                return;
-            }
-            if central.paused || (central.queued_total == 0 && central.parked_total == 0) {
-                let _unused = self
-                    .work_ready
-                    .wait(central)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            self.run_job(active, worker);
         }
     }
 }
@@ -567,15 +492,12 @@ impl FlexService {
             central: Mutex::new(Central {
                 tenants: HashMap::new(),
                 queued_total: 0,
-                parked_total: 0,
                 global_pass: 0,
                 dispatch_seq: 0,
                 paused: config.start_paused,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            stolen: AtomicU64::new(0),
             next_job_id: AtomicU64::new(0),
             clock_hz,
             config,
@@ -724,7 +646,7 @@ impl FlexService {
         ServiceStats {
             jobs_completed: tenants.iter().map(|t| t.completed).sum(),
             jobs_rejected: tenants.iter().map(|t| t.rejected).sum(),
-            jobs_stolen: self.shared.stolen.load(Ordering::Relaxed),
+            jobs_stolen: 0,
             cache: cache.counters(),
             cache_shards: cache.shard_counters(),
             cache_contended: cache.contended_acquisitions(),
@@ -764,15 +686,7 @@ impl FlexService {
         for handle in self.workers.drain(..) {
             let _unused = handle.join();
         }
-        // Workers are gone; anything still parked in a deque is
-        // abandoned too.
-        let parked: Vec<Oneshot> = self
-            .shared
-            .deques
-            .iter()
-            .flat_map(|d| lock_clean(d).drain(..).map(|a| a.slot).collect::<Vec<_>>())
-            .collect();
-        for slot in abandoned.into_iter().chain(parked) {
+        for slot in abandoned {
             let (lock, cvar) = &*slot;
             let mut done = lock_clean(lock);
             if done.is_none() {
@@ -898,7 +812,6 @@ mod tests {
                 queue_capacity: 1024,
                 tenant_inflight_cap: 1024,
                 start_paused: true,
-                dispatch_batch: 1,
                 ..ServeConfig::default()
             },
         )
@@ -944,7 +857,6 @@ mod tests {
             ServeConfig {
                 workers: 1,
                 start_paused: true,
-                dispatch_batch: 1,
                 ..ServeConfig::default()
             },
         )
@@ -957,43 +869,6 @@ mod tests {
         let normal_seq = normal.wait().unwrap().dispatch_seq;
         let high_seq = high.wait().unwrap().dispatch_seq;
         assert!(high_seq < normal_seq && normal_seq < low_seq);
-    }
-
-    #[test]
-    fn surplus_batch_work_is_stolen_by_idle_workers() {
-        // One worker drains the whole backlog into its deque (batch >=
-        // backlog); its siblings have nothing queued and must steal.
-        // Whether a steal lands before the hoarder drains its own deque
-        // is a scheduling race on a loaded single-core host, so the
-        // scenario retries — one observed steal proves the mechanism
-        // and its accounting.
-        let run_once = || {
-            let service = FlexService::start(
-                FlexSystem::default(),
-                ServeConfig {
-                    workers: 4,
-                    dispatch_batch: 64,
-                    start_paused: true,
-                    queue_capacity: 64,
-                    ..ServeConfig::default()
-                },
-            )
-            .expect("service starts");
-            let tickets: Vec<JobTicket> = (0..48)
-                .map(|i| service.submit(job(1, Priority::Normal, i)).unwrap())
-                .collect();
-            service.resume();
-            let outcomes: Vec<JobOutcome> =
-                tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-            assert!(outcomes.iter().all(|o| o.worker < 4));
-            let stolen = service.stats().jobs_stolen;
-            assert_eq!(outcomes.iter().filter(|o| o.stolen).count() as u64, stolen);
-            stolen
-        };
-        assert!(
-            (0..8).map(|_| run_once()).any(|s| s > 0),
-            "idle workers never stole from the hoarding worker's deque"
-        );
     }
 
     #[test]

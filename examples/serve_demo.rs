@@ -1,6 +1,6 @@
 //! Serving-layer tour: three tenants share one `FlexService` — jobs
 //! travel as binary wire frames through admission control into the
-//! weighted-fair scheduler, execute on a stolen-work thread pool over a
+//! weighted-fair scheduler, execute on a central-queue worker pool over a
 //! sharded plan cache, and come back as result frames.
 //!
 //! Run with `cargo run --release --example serve_demo`.
@@ -51,18 +51,16 @@ fn main() {
         })
         .collect();
 
-    let mut stolen = 0u64;
     for ticket in tickets {
         let outcome = ticket.wait().expect("job completes");
         let result = wire::decode_result(&outcome.result_frame).unwrap();
         assert!(result.output.rows() > 0);
-        stolen += u64::from(outcome.stolen);
     }
 
     let stats = service.stats();
     println!(
-        "\n{} jobs completed on {} workers ({} stolen, {} rejected)",
-        stats.jobs_completed, stats.workers, stolen, stats.jobs_rejected
+        "\n{} jobs completed on {} workers ({} rejected)",
+        stats.jobs_completed, stats.workers, stats.jobs_rejected
     );
     println!(
         "plan cache: {} hits / {} misses across {} shards ({} contended acquisitions)",

@@ -17,7 +17,7 @@
 //! | [`sage`] | the SAGE MCF/ACF predictor (§VI) |
 //! | [`host`] | CPU/GPU offload baseline models (§VII-B) |
 //! | [`system`] | the integrated `Flex_Flex_HW` system (§VII-C/D): planner layer (`ExecutionPlan` IR, bounded LRU plan cache) + shared executor |
-//! | [`serve`] | multi-tenant job service: admission control, weighted-fair scheduling, work stealing, binary wire format |
+//! | [`serve`] | multi-tenant job service: admission control, weighted-fair scheduling, a central-queue worker pool (the only host threads), binary wire format |
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 

@@ -11,6 +11,21 @@
 //! actual output matrix alongside exact cycle counts. Tests validate the
 //! output against the software kernels and the cycle counts against the
 //! paper's Fig. 6 walkthrough.
+//!
+//! Host cost scales with the beats and MACs modeled, not with beats x
+//! PEs. Two host-side structures get it there, and neither changes the
+//! modeled PE semantics or any count:
+//!
+//! - each k-pass's beats are packed into one flat element buffer with
+//!   beat boundaries, allocated once per call and refilled per pass;
+//! - CSC stations are indexed k → (PE, value) once per pass, so a
+//!   streamed element visits exactly the PEs whose stationary column
+//!   holds its k (the match each PE's comparator would report). Dense
+//!   stations match every element of the pass, so their MACs are counted
+//!   per beat and the outputs swept along B's row.
+//!
+//! Every output cell still receives its contributions in stream order,
+//! so outputs are bit-identical to a per-PE, per-beat walk.
 
 use crate::bus::BusPacking;
 use crate::config::AccelConfig;
@@ -19,6 +34,7 @@ use sparseflex_formats::{
     CscMatrix, CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, SparseMatrix, Value,
 };
 use std::fmt;
+use std::ops::Range;
 
 /// Errors a simulation can raise before running.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,46 +169,305 @@ struct StreamElem {
     row: usize,
 }
 
-/// One bus beat: a group of elements sharing the beat.
-#[derive(Debug, Clone)]
-struct Beat {
-    elems: Vec<StreamElem>,
-    slots: u64,
+/// Matrix A resolved once per call into the order its ACF streams it,
+/// borrowing the caller's payload wherever that order is already stored.
+enum AStream<'a> {
+    Dense(&'a DenseMatrix),
+    Csr(&'a CsrMatrix),
+    /// COO beats pack elements across rows; a CSR view of the (row-major
+    /// sorted) triplets gives each row's `[k0, k1)` slice by bisection.
+    Coo(CsrMatrix),
+    Csc(&'a CscMatrix),
 }
 
-/// Stationary content of one PE for one (n_tile, k_range) pass.
-enum Station {
-    /// Dense column segment: values for `k in k0..k0+len`.
-    Dense { k0: usize, values: Vec<Value> },
-    /// Compressed column: sorted `(k, value)` pairs.
-    Csc { entries: Vec<(usize, Value)> },
-}
-
-impl Station {
-    fn footprint_slots(&self) -> usize {
-        match self {
-            Station::Dense { values, .. } => values.len(),
-            Station::Csc { entries } => 2 * entries.len(),
+impl<'a> AStream<'a> {
+    fn new(a: &'a MatrixData) -> Option<Self> {
+        match a {
+            MatrixData::Dense(d) => Some(AStream::Dense(d)),
+            MatrixData::Csr(c) => Some(AStream::Csr(c)),
+            MatrixData::Coo(c) => Some(AStream::Coo(CsrMatrix::from_coo(c))),
+            MatrixData::Csc(c) => Some(AStream::Csc(c)),
+            _ => None,
         }
     }
 
-    /// Look up the stationary value matched by stream index `k`.
-    /// Returns `None` when the index misses (no MAC issued), `Some(v)`
-    /// when a MAC is issued with stationary operand `v` (which may be a
-    /// stored zero for Dense stations — a wasted MAC).
-    fn match_k(&self, k: usize) -> Option<Value> {
+    /// Column-major streaming changes the output row on every element.
+    fn is_col_major(&self) -> bool {
+        matches!(self, AStream::Csc(_))
+    }
+
+    /// Most elements one pass over `[k0, k1)` can stream.
+    fn pass_len_bound(&self, k0: usize, k1: usize) -> usize {
         match self {
-            Station::Dense { k0, values } => {
-                if k >= *k0 && k - *k0 < values.len() {
-                    Some(values[k - *k0])
-                } else {
-                    None
+            AStream::Dense(d) => d.rows() * (k1 - k0),
+            AStream::Csr(c) => c.nnz(),
+            AStream::Coo(c) => c.nnz(),
+            AStream::Csc(c) => c.nnz(),
+        }
+    }
+
+    /// Pack the elements with `k in [k0, k1)` into bus beats, following
+    /// the per-ACF slot layouts of [`crate::bus`]. Consecutive passes over
+    /// the same range (the next tile's, when a tile needs one pass) reuse
+    /// the beats already packed.
+    fn fill_pass(&self, k0: usize, k1: usize, bus: &BusPacking, beats: &mut PassBeats) {
+        if beats.range == Some((k0, k1)) {
+            return;
+        }
+        beats.clear(self.pass_len_bound(k0, k1));
+        beats.range = Some((k0, k1));
+        match self {
+            AStream::Dense(d) => {
+                let cap = bus.dense_capacity();
+                for r in 0..d.rows() {
+                    let row = d.row(r);
+                    let mut k = k0;
+                    while k < k1 {
+                        let end = (k + cap).min(k1);
+                        beats.elems.extend((k..end).map(|kk| StreamElem {
+                            k: kk,
+                            value: row[kk],
+                            row: r,
+                        }));
+                        // Data slots plus one shared row id.
+                        beats.close_beat((end - k) as u64 + 1);
+                        k = end;
+                    }
                 }
             }
-            Station::Csc { entries } => entries
-                .binary_search_by_key(&k, |&(kk, _)| kk)
-                .ok()
-                .map(|i| entries[i].1),
+            AStream::Csr(c) => {
+                let cap = bus.pair_capacity();
+                for r in 0..c.rows() {
+                    let (cols, vals) = in_k_range(c.row(r), k0, k1);
+                    for (ks, vs) in cols.chunks(cap).zip(vals.chunks(cap)) {
+                        beats
+                            .elems
+                            .extend(ks.iter().zip(vs).map(|(&k, &value)| StreamElem {
+                                k,
+                                value,
+                                row: r,
+                            }));
+                        // (data, column id) pairs plus one shared row id.
+                        beats.close_beat(2 * ks.len() as u64 + 1);
+                    }
+                }
+            }
+            AStream::Coo(c) => {
+                // (data, column id, row id) triples; rows mix freely.
+                let cap = bus.triple_capacity();
+                let mut open = 0usize;
+                for r in 0..c.rows() {
+                    let (cols, vals) = in_k_range(c.row(r), k0, k1);
+                    for (&k, &value) in cols.iter().zip(vals) {
+                        beats.elems.push(StreamElem { k, value, row: r });
+                        open += 1;
+                        if open == cap {
+                            beats.close_beat(3 * cap as u64);
+                            open = 0;
+                        }
+                    }
+                }
+                if open > 0 {
+                    beats.close_beat(3 * open as u64);
+                }
+            }
+            AStream::Csc(c) => {
+                let cap = bus.pair_capacity();
+                for k in k0..k1 {
+                    let (rows, vals) = c.col(k);
+                    for (rs, vs) in rows.chunks(cap).zip(vals.chunks(cap)) {
+                        beats
+                            .elems
+                            .extend(rs.iter().zip(vs).map(|(&row, &value)| StreamElem {
+                                k,
+                                value,
+                                row,
+                            }));
+                        // (data, row id) pairs plus one shared column id.
+                        beats.close_beat(2 * rs.len() as u64 + 1);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The entries of a sorted index list (with its parallel values) whose
+/// index lies in `[k0, k1)`.
+fn in_k_range<'s>(
+    (ks, vs): (&'s [usize], &'s [Value]),
+    k0: usize,
+    k1: usize,
+) -> (&'s [usize], &'s [Value]) {
+    let lo = ks.partition_point(|&k| k < k0);
+    let hi = lo + ks[lo..].partition_point(|&k| k < k1);
+    (&ks[lo..hi], &vs[lo..hi])
+}
+
+/// One k-pass of the A stream packed into bus beats: every beat's
+/// elements back to back in `elems`, beat `i` ending at `ends[i]`. One
+/// instance serves a whole call, cleared and refilled for each pass.
+#[derive(Default)]
+struct PassBeats {
+    elems: Vec<StreamElem>,
+    ends: Vec<usize>,
+    /// The `[k0, k1)` range packed, once filled.
+    range: Option<(usize, usize)>,
+    /// Bus slots the pass's beats occupy (data and metadata).
+    slots: u64,
+}
+
+impl PassBeats {
+    /// Empty the buffers, growing them to hold `bound` elements (and as
+    /// many beats) so the fill itself never reallocates.
+    fn clear(&mut self, bound: usize) {
+        self.elems.clear();
+        self.ends.clear();
+        self.elems.reserve_exact(bound);
+        self.ends.reserve_exact(bound);
+        self.slots = 0;
+    }
+
+    /// Close a beat over the elements pushed since the previous one.
+    fn close_beat(&mut self, slots: u64) {
+        self.ends.push(self.elems.len());
+        self.slots += slots;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[StreamElem]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let beat = &self.elems[start..end];
+            start = end;
+            beat
+        })
+    }
+}
+
+/// Matrix B as the PEs hold it.
+#[derive(Clone, Copy)]
+enum Stationary<'a> {
+    /// One dense column segment per PE.
+    Dense(&'a DenseMatrix),
+    /// One compressed column, `(k, value)` pairs, per PE.
+    Csc(&'a CscMatrix),
+}
+
+impl<'a> Stationary<'a> {
+    fn new(b: &'a MatrixData) -> Option<Self> {
+        match b {
+            MatrixData::Dense(d) => Some(Stationary::Dense(d)),
+            MatrixData::Csc(c) => Some(Stationary::Csc(c)),
+            _ => None,
+        }
+    }
+}
+
+/// The pass's CSC stations indexed by k: for each `k in [k0, k1)`, the
+/// `(PE, value)` pairs holding it, in PE order. A counting sort over the
+/// tile's columns builds it once per pass, so each streamed element
+/// visits exactly the PEs it matches instead of searching every PE.
+#[derive(Default)]
+struct KIndex {
+    k0: usize,
+    /// Bucket `k - k0` is `entries[starts[k - k0]..starts[k - k0 + 1]]`.
+    starts: Vec<usize>,
+    entries: Vec<(usize, Value)>,
+}
+
+impl KIndex {
+    /// Index columns `tile` of `csc` over `[k0, k1)`; returns the number
+    /// of stationary pairs the pass loads.
+    fn rebuild(&mut self, csc: &CscMatrix, tile: Range<usize>, k0: usize, k1: usize) -> usize {
+        self.k0 = k0;
+        // Counts land two slots past their bucket, so after the prefix
+        // sum `starts[b + 1]` is bucket `b`'s fill cursor; once the fill
+        // has advanced every cursor, `starts[b]..starts[b + 1]` is the
+        // bucket.
+        self.starts.clear();
+        self.starts.resize(k1 - k0 + 2, 0);
+        for j in tile.clone() {
+            for &k in in_k_range(csc.col(j), k0, k1).0 {
+                self.starts[k - k0 + 2] += 1;
+            }
+        }
+        for i in 1..self.starts.len() {
+            self.starts[i] += self.starts[i - 1];
+        }
+        let total = self.starts[k1 - k0 + 1];
+        self.entries.clear();
+        self.entries.resize(total, (0, 0.0));
+        for (pe, j) in tile.enumerate() {
+            let (ks, vs) = in_k_range(csc.col(j), k0, k1);
+            for (&k, &v) in ks.iter().zip(vs) {
+                let cursor = &mut self.starts[k - k0 + 1];
+                self.entries[*cursor] = (pe, v);
+                *cursor += 1;
+            }
+        }
+        total
+    }
+
+    fn get(&self, k: usize) -> &[(usize, Value)] {
+        let b = k - self.k0;
+        &self.entries[self.starts[b]..self.starts[b + 1]]
+    }
+}
+
+/// Per-PE registers while a pass streams against CSC stations.
+#[derive(Debug, Clone, Copy)]
+struct PeCursor {
+    /// Output row the PE's accumulator holds open.
+    open_row: Option<usize>,
+    /// Beat of the pass that `work` counts.
+    beat: usize,
+    /// MACs issued in that beat.
+    work: u64,
+}
+
+impl PeCursor {
+    const IDLE: PeCursor = PeCursor {
+        open_row: None,
+        beat: usize::MAX,
+        work: 0,
+    };
+}
+
+/// The output and counters a simulation accumulates.
+struct Tally {
+    output: DenseMatrix,
+    cycles: CycleBreakdown,
+    counts: ActivityCounts,
+}
+
+impl Tally {
+    fn new(m: usize, n: usize) -> Self {
+        Tally {
+            output: DenseMatrix::zeros(m, n),
+            cycles: CycleBreakdown::default(),
+            counts: ActivityCounts::default(),
+        }
+    }
+
+    /// Account a broadcast load of `slots` stationary element slots.
+    fn load(&mut self, bus: &BusPacking, slots: usize) {
+        let load = bus.load_run(slots);
+        self.cycles.load_b += load.beats;
+        self.counts.bus_slots_used += load.slots_used;
+        self.counts.pe_buffer_writes += slots as u64;
+    }
+
+    /// Output registers drain through per-PE ports into the banked
+    /// global buffer (one flush per PE per cycle), not over the shared
+    /// input bus.
+    fn finish(mut self, num_pes: usize, n_tiles: usize, k_passes: usize) -> SimResult {
+        self.cycles.drain = self.counts.output_flushes.div_ceil(num_pes.max(1) as u64);
+        SimResult {
+            output: self.output,
+            cycles: self.cycles,
+            counts: self.counts,
+            n_tiles,
+            k_passes,
         }
     }
 }
@@ -212,166 +487,176 @@ pub fn simulate_ws(
             b_rows: b.rows(),
         });
     }
-    let a_fmt = a.format();
-    let b_fmt = b.format();
-    let a_ok = matches!(
-        a_fmt,
-        MatrixFormat::Dense | MatrixFormat::Csr | MatrixFormat::Coo | MatrixFormat::Csc
-    );
-    let b_ok = matches!(b_fmt, MatrixFormat::Dense | MatrixFormat::Csc);
-    if !a_ok || !b_ok {
-        return Err(SimError::UnsupportedAcf { a: a_fmt, b: b_fmt });
-    }
+    let unsupported = || SimError::UnsupportedAcf {
+        a: a.format(),
+        b: b.format(),
+    };
+    let station = Stationary::new(b).ok_or_else(unsupported)?;
+    let stream = AStream::new(a).ok_or_else(unsupported)?;
 
     let bus = BusPacking {
         slots: cfg.bus_slots,
     };
-    let m = a.rows();
     let k_dim = a.cols();
     let n = b.cols();
-    // Canonical accessors for B columns.
-    let b_csc = match b {
-        MatrixData::Csc(c) => Some(c.clone()),
-        _ => None,
-    };
-    let b_dense = match b {
-        MatrixData::Dense(d) => Some(d.clone()),
-        _ => None,
-    };
+    let p = cfg.num_pes.max(1);
+    let lanes = cfg.vector_width as u64;
+    let col_major = stream.is_col_major();
 
-    let mut output = DenseMatrix::zeros(m, n);
-    let mut cycles = CycleBreakdown::default();
-    let mut counts = ActivityCounts::default();
+    let mut tally = Tally::new(a.rows(), n);
     let mut n_tiles = 0usize;
     let mut k_passes = 0usize;
+    let mut beats = PassBeats::default();
+    let mut index = KIndex::default();
+    let mut pes = vec![PeCursor::IDLE; p.min(n)];
 
-    // Pre-extract A in CSR form for sparse streaming (row-major order).
-    let a_csr = match a {
-        MatrixData::Csr(c) => c.clone(),
-        other => CsrMatrix::from_coo(&other.to_coo()),
-    };
-    let a_dense_rows: Option<&DenseMatrix> = match a {
-        MatrixData::Dense(d) => Some(d),
-        _ => None,
-    };
-    // For CSC-A streaming we need A by columns.
-    let a_csc = match a {
-        MatrixData::Csc(c) => Some(c.clone()),
-        _ => None,
-    };
-
-    for tile_start in (0..n).step_by(cfg.num_pes.max(1)) {
+    for tile_start in (0..n).step_by(p) {
         n_tiles += 1;
-        let tile_cols: Vec<usize> = (tile_start..(tile_start + cfg.num_pes).min(n)).collect();
-
+        let tile = tile_start..(tile_start + cfg.num_pes).min(n);
         // Partition the K dimension into ranges that fit the PE buffers.
-        let k_ranges = compute_k_ranges(&tile_cols, k_dim, cfg.pe_buffer_elems, b_csc.as_ref())?;
-
-        for (k0, k1) in k_ranges {
+        for (k0, k1) in compute_k_ranges(tile.clone(), k_dim, cfg.pe_buffer_elems, station)? {
             k_passes += 1;
-            // ---- Load stationary tiles.
-            let stations: Vec<Station> = tile_cols
-                .iter()
-                .map(|&j| match (&b_dense, &b_csc) {
-                    (Some(d), _) => {
-                        let values: Vec<Value> = (k0..k1).map(|k| d.get(k, j)).collect();
-                        Station::Dense { k0, values }
-                    }
-                    (_, Some(c)) => {
-                        let (rows, vals) = c.col(j);
-                        let entries: Vec<(usize, Value)> = rows
-                            .iter()
-                            .zip(vals)
-                            .filter(|(&k, _)| k >= k0 && k < k1)
-                            .map(|(&k, &v)| (k, v))
-                            .collect();
-                        Station::Csc { entries }
-                    }
-                    _ => unreachable!("b format checked above"),
-                })
-                .collect();
-            let load_slots: usize = stations.iter().map(Station::footprint_slots).sum();
-            let load = bus.load_run(load_slots);
-            cycles.load_b += load.beats;
-            counts.bus_slots_used += load.slots_used;
-            counts.pe_buffer_writes += load_slots as u64;
-
-            // ---- Build the A beat stream for this k range.
-            let beats = build_beats(
-                &a_fmt,
-                a_dense_rows,
-                &a_csr,
-                a_csc.as_ref(),
-                m,
-                k0,
-                k1,
-                &bus,
-            );
-
-            // ---- Process beats.
-            // Per-PE open output row (for flush counting).
-            let mut open_row: Vec<Option<usize>> = vec![None; stations.len()];
-            let col_major_stream = a_fmt == MatrixFormat::Csc;
-            for beat in &beats {
-                counts.bus_slots_used += beat.slots;
-                let mut max_work = 0u64;
-                for (pi, station) in stations.iter().enumerate() {
-                    let mut work = 0u64;
-                    for e in &beat.elems {
-                        if let Some(bv) = station.match_k(e.k) {
-                            work += 1;
-                            counts.pe_buffer_reads += 1;
-                            counts.macs += 1;
-                            if e.value != 0.0 && bv != 0.0 {
-                                counts.effective_macs += 1;
-                                output.add_assign(e.row, tile_cols[pi], e.value * bv);
-                            }
-                            if col_major_stream {
-                                // Column-major streaming changes the output
-                                // row on every element: each MAC flushes.
-                                counts.output_flushes += 1;
-                            } else if open_row[pi] != Some(e.row) {
-                                if open_row[pi].is_some() {
-                                    counts.output_flushes += 1;
-                                }
-                                open_row[pi] = Some(e.row);
-                            }
-                        }
-                    }
-                    max_work = max_work.max(work);
+            let load_slots = match station {
+                Stationary::Dense(_) => tile.len() * (k1 - k0),
+                Stationary::Csc(c) => 2 * index.rebuild(c, tile.clone(), k0, k1),
+            };
+            tally.load(&bus, load_slots);
+            stream.fill_pass(k0, k1, &bus, &mut beats);
+            match station {
+                Stationary::Dense(d) => {
+                    stream_dense_pass(&beats, d, tile.clone(), col_major, lanes, &mut tally)
                 }
-                cycles.stream_a += max_work.div_ceil(cfg.vector_width as u64).max(1);
-            }
-            // Close any open accumulators at the end of the pass.
-            if !col_major_stream {
-                counts.output_flushes += open_row.iter().filter(|r| r.is_some()).count() as u64;
+                Stationary::Csc(_) => stream_csc_pass(
+                    &beats,
+                    &index,
+                    tile.start,
+                    &mut pes[..tile.len()],
+                    col_major,
+                    lanes,
+                    &mut tally,
+                ),
             }
         }
     }
+    Ok(tally.finish(cfg.num_pes, n_tiles, k_passes))
+}
 
-    // Output registers drain through per-PE ports into the banked
-    // global buffer (one flush per PE per cycle), not over the shared
-    // input bus.
-    cycles.drain = counts.output_flushes.div_ceil(cfg.num_pes.max(1) as u64);
-    Ok(SimResult {
-        output,
-        cycles,
-        counts,
-        n_tiles,
-        k_passes,
-    })
+/// Stream one pass against Dense stations. Every element of the pass
+/// lies in its k-range, so it matches every PE of the tile: a beat of
+/// `len` elements issues `len` MACs on each PE, and all PEs see the same
+/// row sequence, so one open-row register stands for all of them. Each
+/// output cell still takes its contributions in stream order.
+fn stream_dense_pass(
+    beats: &PassBeats,
+    b: &DenseMatrix,
+    tile: Range<usize>,
+    col_major: bool,
+    lanes: u64,
+    t: &mut Tally,
+) {
+    let width = tile.len() as u64;
+    let n = t.output.cols();
+    let mut open_row: Option<usize> = None;
+    t.counts.bus_slots_used += beats.slots;
+    for beat in beats.iter() {
+        let len = beat.len() as u64;
+        // The busiest PE issues one MAC per element; a tile without PEs
+        // (an array configured with none) issues nothing.
+        let busiest = if width == 0 { 0 } else { len };
+        t.cycles.stream_a += busiest.div_ceil(lanes).max(1);
+        t.counts.macs += len * width;
+        t.counts.pe_buffer_reads += len * width;
+        for e in beat {
+            if col_major {
+                t.counts.output_flushes += width;
+            } else if open_row != Some(e.row) {
+                if open_row.is_some() {
+                    t.counts.output_flushes += width;
+                }
+                open_row = Some(e.row);
+            }
+            if e.value == 0.0 {
+                continue;
+            }
+            // A zero stationary value adds +0.0, which leaves every cell's
+            // bits unchanged: cells start at +0.0, and round-to-nearest
+            // addition onto +0.0 never produces -0.0. Adding it keeps the
+            // sweep free of data-dependent branches.
+            let out = &mut t.output.data_mut()[e.row * n..][tile.clone()];
+            let mut effective = 0u64;
+            for (o, &bv) in out.iter_mut().zip(&b.row(e.k)[tile.clone()]) {
+                let hit = bv != 0.0;
+                effective += u64::from(hit);
+                *o += if hit { e.value * bv } else { 0.0 };
+            }
+            t.counts.effective_macs += effective;
+        }
+    }
+    // Close the open accumulators at the end of the pass.
+    if !col_major && open_row.is_some() {
+        t.counts.output_flushes += width;
+    }
+}
+
+/// Stream one pass against CSC stations: each element visits the PEs
+/// that hold its k, as listed by `index`; PE `i` computes output column
+/// `col0 + i`.
+fn stream_csc_pass(
+    beats: &PassBeats,
+    index: &KIndex,
+    col0: usize,
+    pes: &mut [PeCursor],
+    col_major: bool,
+    lanes: u64,
+    t: &mut Tally,
+) {
+    pes.fill(PeCursor::IDLE);
+    t.counts.bus_slots_used += beats.slots;
+    for (bi, beat) in beats.iter().enumerate() {
+        let mut max_work = 0u64;
+        for e in beat {
+            for &(pi, bv) in index.get(e.k) {
+                let pe = &mut pes[pi];
+                if pe.beat != bi {
+                    pe.beat = bi;
+                    pe.work = 0;
+                }
+                pe.work += 1;
+                max_work = max_work.max(pe.work);
+                t.counts.pe_buffer_reads += 1;
+                t.counts.macs += 1;
+                if e.value != 0.0 && bv != 0.0 {
+                    t.counts.effective_macs += 1;
+                    t.output.add_assign(e.row, col0 + pi, e.value * bv);
+                }
+                if col_major {
+                    t.counts.output_flushes += 1;
+                } else if pe.open_row != Some(e.row) {
+                    if pe.open_row.is_some() {
+                        t.counts.output_flushes += 1;
+                    }
+                    pe.open_row = Some(e.row);
+                }
+            }
+        }
+        t.cycles.stream_a += max_work.div_ceil(lanes).max(1);
+    }
+    // Close the open accumulators at the end of the pass.
+    if !col_major {
+        t.counts.output_flushes += pes.iter().filter(|pe| pe.open_row.is_some()).count() as u64;
+    }
 }
 
 /// Compute K-dimension ranges such that every PE's stationary footprint
 /// fits its buffer.
 fn compute_k_ranges(
-    tile_cols: &[usize],
+    tile: Range<usize>,
     k_dim: usize,
     buffer_elems: usize,
-    b_csc: Option<&CscMatrix>,
+    station: Stationary<'_>,
 ) -> Result<Vec<(usize, usize)>, SimError> {
-    match b_csc {
-        None => {
+    match station {
+        Stationary::Dense(_) => {
             // Dense stationary columns: footprint = range length.
             if buffer_elems == 0 {
                 return Err(SimError::BufferTooSmall {
@@ -391,7 +676,7 @@ fn compute_k_ranges(
             }
             Ok(ranges)
         }
-        Some(csc) => {
+        Stationary::Csc(csc) => {
             // Compressed stationary columns: footprint = 2 x entries in
             // range; grow each range greedily until the fullest column
             // would overflow.
@@ -403,15 +688,14 @@ fn compute_k_ranges(
             }
             let cap_pairs = buffer_elems / 2;
             // Per-column sorted k lists for the tile.
-            let cols_k: Vec<&[usize]> = tile_cols.iter().map(|&j| csc.col(j).0).collect();
+            let cols_k: Vec<&[usize]> = tile.map(|j| csc.col(j).0).collect();
             let mut ranges = Vec::new();
             let mut k0 = 0usize;
             // Cursor per column into its k list (all start at zero).
             let mut cursors: Vec<usize> = vec![0; cols_k.len()];
             while k0 < k_dim {
                 // Find the largest k1 such that every column's entry count
-                // in [k0, k1) fits cap_pairs. Binary search over k1 via
-                // per-column index arithmetic: the limiting column is the
+                // in [k0, k1) fits cap_pairs: the limiting column is the
                 // one whose (cursor + cap_pairs)-th entry is smallest.
                 let mut k1 = k_dim;
                 for (ci, ks) in cols_k.iter().enumerate() {
@@ -444,120 +728,6 @@ fn compute_k_ranges(
     }
 }
 
-/// Build the beat stream for matrix A restricted to `k in [k0, k1)`.
-#[allow(clippy::too_many_arguments)]
-fn build_beats(
-    a_fmt: &MatrixFormat,
-    a_dense: Option<&DenseMatrix>,
-    a_csr: &CsrMatrix,
-    a_csc: Option<&CscMatrix>,
-    m: usize,
-    k0: usize,
-    k1: usize,
-    bus: &BusPacking,
-) -> Vec<Beat> {
-    let mut beats = Vec::new();
-    match a_fmt {
-        MatrixFormat::Dense => {
-            let d = a_dense.expect("dense payload for dense ACF");
-            let cap = bus.dense_capacity();
-            for r in 0..m {
-                let row = d.row(r);
-                let mut k = k0;
-                while k < k1 {
-                    let end = (k + cap).min(k1);
-                    let elems: Vec<StreamElem> = (k..end)
-                        .map(|kk| StreamElem {
-                            k: kk,
-                            value: row[kk],
-                            row: r,
-                        })
-                        .collect();
-                    let slots = elems.len() as u64 + 1; // +1 shared row id
-                    beats.push(Beat { elems, slots });
-                    k = end;
-                }
-            }
-        }
-        MatrixFormat::Csr => {
-            let cap = bus.pair_capacity();
-            for r in 0..m {
-                let (cols, vals) = a_csr.row(r);
-                let lo = cols.partition_point(|&c| c < k0);
-                let hi = cols.partition_point(|&c| c < k1);
-                let mut i = lo;
-                while i < hi {
-                    let end = (i + cap).min(hi);
-                    let elems: Vec<StreamElem> = (i..end)
-                        .map(|ii| StreamElem {
-                            k: cols[ii],
-                            value: vals[ii],
-                            row: r,
-                        })
-                        .collect();
-                    let slots = 2 * elems.len() as u64 + 1; // pairs + shared row id
-                    beats.push(Beat { elems, slots });
-                    i = end;
-                }
-            }
-        }
-        MatrixFormat::Coo => {
-            let cap = bus.triple_capacity();
-            let mut pending: Vec<StreamElem> = Vec::with_capacity(cap);
-            for r in 0..m {
-                let (cols, vals) = a_csr.row(r);
-                let lo = cols.partition_point(|&c| c < k0);
-                let hi = cols.partition_point(|&c| c < k1);
-                for i in lo..hi {
-                    pending.push(StreamElem {
-                        k: cols[i],
-                        value: vals[i],
-                        row: r,
-                    });
-                    if pending.len() == cap {
-                        let slots = 3 * pending.len() as u64;
-                        beats.push(Beat {
-                            elems: std::mem::take(&mut pending),
-                            slots,
-                        });
-                        pending = Vec::with_capacity(cap);
-                    }
-                }
-            }
-            if !pending.is_empty() {
-                let slots = 3 * pending.len() as u64;
-                beats.push(Beat {
-                    elems: pending,
-                    slots,
-                });
-            }
-        }
-        MatrixFormat::Csc => {
-            let c = a_csc.expect("csc payload for csc ACF");
-            let cap = bus.pair_capacity();
-            for k in k0..k1 {
-                let (rows, vals) = c.col(k);
-                let mut i = 0;
-                while i < rows.len() {
-                    let end = (i + cap).min(rows.len());
-                    let elems: Vec<StreamElem> = (i..end)
-                        .map(|ii| StreamElem {
-                            k,
-                            value: vals[ii],
-                            row: rows[ii],
-                        })
-                        .collect();
-                    let slots = 2 * elems.len() as u64 + 1; // pairs + shared col id
-                    beats.push(Beat { elems, slots });
-                    i = end;
-                }
-            }
-        }
-        _ => unreachable!("ACF validated by caller"),
-    }
-    beats
-}
-
 /// Simulate CSR(A)-CSR(B) SpGEMM with the Gustavson dataflow: rows of `B`
 /// are distributed round-robin across PE buffers; each streamed nonzero
 /// `A(r, k)` activates the PE holding row `k` of `B`, which multiplies it
@@ -576,14 +746,8 @@ pub fn simulate_spgemm(
     let bus = BusPacking {
         slots: cfg.bus_slots,
     };
-    let m = a.rows();
     let k_dim = a.cols();
-    let n = b.cols();
     let p = cfg.num_pes.max(1);
-
-    let mut output = DenseMatrix::zeros(m, n);
-    let mut cycles = CycleBreakdown::default();
-    let mut counts = ActivityCounts::default();
 
     // Greedy K ranges: add B rows k0..k1 while every PE's footprint
     // (2 slots per stored nonzero of its assigned rows) fits.
@@ -613,55 +777,68 @@ pub fn simulate_spgemm(
         k_ranges.push((k0, k_dim));
     }
 
-    let k_passes = k_ranges.len();
+    let mut tally = Tally::new(a.rows(), b.cols());
+    // Per-PE MACs of the current beat.
+    let mut pe_work = vec![0u64; p];
     for &(k0, k1) in &k_ranges {
         // Load stationary B rows for this range.
-        let load_slots: usize = (k0..k1).map(|k| 2 * b.row_nnz(k)).sum();
-        let load = bus.load_run(load_slots);
-        cycles.load_b += load.beats;
-        counts.bus_slots_used += load.slots_used;
-        counts.pe_buffer_writes += load_slots as u64;
+        tally.load(&bus, 2 * (b.row_ptr()[k1] - b.row_ptr()[k0]));
+        spgemm_pass(
+            a,
+            b,
+            k0,
+            k1,
+            &bus,
+            cfg.vector_width as u64,
+            &mut pe_work,
+            &mut tally,
+        );
+    }
+    Ok(tally.finish(cfg.num_pes, 1, k_ranges.len()))
+}
 
-        // Stream A (CSR beats restricted to the range).
-        let cap_pairs = bus.pair_capacity();
-        for r in 0..m {
-            let (cols, vals) = a.row(r);
-            let lo = cols.partition_point(|&c| c < k0);
-            let hi = cols.partition_point(|&c| c < k1);
-            let mut i = lo;
-            while i < hi {
-                let end = (i + cap_pairs).min(hi);
-                counts.bus_slots_used += 2 * (end - i) as u64 + 1;
-                // Per-PE work in this beat.
-                let mut pe_work = vec![0u64; p];
-                for ii in i..end {
-                    let k = cols[ii];
-                    let v = vals[ii];
-                    let work = b.row_nnz(k) as u64;
-                    pe_work[k % p] += work;
-                    counts.macs += work;
-                    counts.effective_macs += work;
-                    counts.pe_buffer_reads += 2 * work; // metadata + value
-                    counts.output_flushes += work; // scatter accumulations
-                    let (bcols, bvals) = b.row(k);
-                    for (j, bv) in bcols.iter().zip(bvals) {
-                        output.add_assign(r, *j, v * bv);
-                    }
+/// Stream A's nonzeros in `[k0, k1)` as CSR beats against the B rows the
+/// PEs hold. `pe_work` is all zeros on entry and on return.
+#[allow(clippy::too_many_arguments)]
+fn spgemm_pass(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    k0: usize,
+    k1: usize,
+    bus: &BusPacking,
+    lanes: u64,
+    pe_work: &mut [u64],
+    t: &mut Tally,
+) {
+    let p = pe_work.len();
+    let cap = bus.pair_capacity();
+    let n = t.output.cols();
+    for r in 0..a.rows() {
+        let (cols, vals) = in_k_range(a.row(r), k0, k1);
+        for (ks, vs) in cols.chunks(cap).zip(vals.chunks(cap)) {
+            t.counts.bus_slots_used += 2 * ks.len() as u64 + 1;
+            let mut max_work = 0u64;
+            for (&k, &v) in ks.iter().zip(vs) {
+                let (bcols, bvals) = b.row(k);
+                let work = bcols.len() as u64;
+                let pe = &mut pe_work[k % p];
+                *pe += work;
+                max_work = max_work.max(*pe);
+                t.counts.macs += work;
+                t.counts.effective_macs += work;
+                t.counts.pe_buffer_reads += 2 * work; // metadata + value
+                t.counts.output_flushes += work; // scatter accumulations
+                let out = &mut t.output.data_mut()[r * n..(r + 1) * n];
+                for (&j, &bv) in bcols.iter().zip(bvals) {
+                    out[j] += v * bv;
                 }
-                let max_work = pe_work.iter().copied().max().unwrap_or(0);
-                cycles.stream_a += max_work.div_ceil(cfg.vector_width as u64).max(1);
-                i = end;
             }
+            for &k in ks {
+                pe_work[k % p] = 0;
+            }
+            t.cycles.stream_a += max_work.div_ceil(lanes).max(1);
         }
     }
-    cycles.drain = counts.output_flushes.div_ceil(cfg.num_pes.max(1) as u64);
-    Ok(SimResult {
-        output,
-        cycles,
-        counts,
-        n_tiles: 1,
-        k_passes,
-    })
 }
 
 #[cfg(test)]

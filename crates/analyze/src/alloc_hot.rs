@@ -16,6 +16,8 @@
 //! - the whole of `kernels::lanes` (the shared vectorized inner loops);
 //! - the body of `spgemm::rowwise_row` (the k-way merge replaying
 //!   Gustavson's addition order from caller-owned buffers).
+//! - the accelerator simulators' per-pass beat loops in `accel::exec`
+//!   (beats are packed into buffers allocated once per simulation).
 //!
 //! Deliberate warm-up allocation can be waived per line with
 //! `// sflint::allow(alloc-in-hot-path)`.
@@ -154,6 +156,17 @@ mod tests {
         file_cfg.hot_files = vec!["t.rs".into()];
         let f = run(&src, &file_cfg);
         assert_eq!(f.len(), 2);
+    }
+
+    #[test]
+    fn workspace_policy_covers_simulator_beat_loops() {
+        let src = SourceFile::parse(
+            "crates/accel/src/exec.rs",
+            "fn stream_csc_pass() {\n    let work = vec![0u64; 8];\n}\nfn spgemm_pass() {\n    let beat: Vec<_> = ks.iter().collect();\n}\nfn simulate_ws() {\n    let pes = vec![0; 8];\n}\n",
+        );
+        let f = run(&src, &AnalysisConfig::workspace());
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.line == 2 || f.line == 5));
     }
 
     #[test]

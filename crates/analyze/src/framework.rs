@@ -91,10 +91,22 @@ impl AnalysisConfig {
                 "crates/core/src/".into(),
                 "crates/formats/src/".into(),
                 "crates/kernels/src/".into(),
+                "crates/accel/src/".into(),
             ],
             cast_scope: vec!["crates/serve/src/".into()],
             hot_files: vec!["crates/kernels/src/lanes.rs".into()],
-            hot_fns: vec![("crates/kernels/src/spgemm.rs".into(), "rowwise_row".into())],
+            hot_fns: vec![
+                ("crates/kernels/src/spgemm.rs".into(), "rowwise_row".into()),
+                // The simulators' per-pass beat loops: beats are packed
+                // into buffers allocated once per simulation.
+                ("crates/accel/src/exec.rs".into(), "fill_pass".into()),
+                (
+                    "crates/accel/src/exec.rs".into(),
+                    "stream_dense_pass".into(),
+                ),
+                ("crates/accel/src/exec.rs".into(), "stream_csc_pass".into()),
+                ("crates/accel/src/exec.rs".into(), "spgemm_pass".into()),
+            ],
             spawn_sanctioned: vec![
                 "crates/serve/src/service.rs".into(),
                 "crates/bench/src/serving.rs".into(),

@@ -71,6 +71,15 @@ mod tests {
     }
 
     #[test]
+    fn workspace_policy_covers_the_simulator_crate() {
+        let src = SourceFile::parse(
+            "crates/accel/src/exec.rs",
+            "fn f() {\n    let a = a_csc.expect(\"csc payload\");\n}\n",
+        );
+        assert_eq!(run(&src, &AnalysisConfig::workspace()).len(), 1);
+    }
+
+    #[test]
     fn expect_err_and_pragma_do_not_match() {
         let src = SourceFile::parse(
             "x.rs",

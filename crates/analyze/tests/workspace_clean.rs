@@ -2,7 +2,7 @@
 //! baseline. This is the same check CI's `sflint --gate` step enforces,
 //! kept in-tree so `cargo test` alone catches a regression.
 
-use sparseflex_analyze::{baseline, framework};
+use sparseflex_analyze::{baseline, framework, AnalysisConfig, SourceFile};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -80,4 +80,20 @@ fn lock_graph_stays_acyclic() {
         "expected plan-cache shard edges in {:?}",
         report.edges
     );
+}
+
+#[test]
+fn every_registered_hot_fn_exists() {
+    // A renamed hot function would silently drop out of the
+    // alloc-in-hot-path lint; pin that each registration still names a
+    // function defined in its file.
+    let root = workspace_root();
+    for (file, func) in AnalysisConfig::workspace().hot_fns {
+        let text = std::fs::read_to_string(root.join(&file)).expect("hot file exists");
+        let src = SourceFile::parse(&file, &text);
+        assert!(
+            src.fns.iter().any(|f| f.name == func),
+            "{file} defines no fn {func}"
+        );
+    }
 }

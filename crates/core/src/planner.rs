@@ -572,7 +572,7 @@ impl Planner {
                 b,
                 &evaluation,
                 &schedule,
-                spgemm,
+                dataflow,
                 &self.tile_arenas,
             )?,
         };
@@ -642,11 +642,16 @@ impl Planner {
         b: &CooMatrix,
     ) -> Result<PipelineRun, RunError> {
         let choice = plan.choice();
-        let spgemm = plan.dataflow == Dataflow::GustavsonSpGemm;
         let (a_acf, conv_a, tiles_mem, b_cols) =
             prepare_operands(sage, choice, &plan.schedule.ranges, a, b)?;
-        let executed =
-            convert_and_execute_tiles(sage, choice, spgemm, &a_acf, &tiles_mem, &self.tile_arenas)?;
+        let executed = convert_and_execute_tiles(
+            sage,
+            choice,
+            plan.dataflow,
+            &a_acf,
+            &tiles_mem,
+            &self.tile_arenas,
+        )?;
 
         let mut output = DenseMatrix::zeros(a.rows(), b_cols);
         let mut tiles = Vec::with_capacity(tiles_mem.len());
@@ -724,7 +729,7 @@ fn prepare_operands(
 fn convert_and_execute_tiles(
     sage: &Sage,
     choice: &sparseflex_sage::FormatChoice,
-    spgemm: bool,
+    dataflow: Dataflow,
     a_acf: &MatrixData,
     tiles_mem: &[MatrixTile],
     pool: &Mutex<ArenaPool>,
@@ -732,13 +737,20 @@ fn convert_and_execute_tiles(
     fn lock(p: &Mutex<ArenaPool>) -> std::sync::MutexGuard<'_, ArenaPool> {
         p.lock().unwrap_or_else(|e| e.into_inner())
     }
-    let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
+    let a_csr;
+    let kernel = match dataflow {
+        Dataflow::GustavsonSpGemm => {
+            a_csr = csr_cow(a_acf);
+            TileKernel::Gustavson(&a_csr)
+        }
+        Dataflow::WeightStationary => TileKernel::WeightStationary(a_acf),
+    };
     let mut arena = lock(pool).take();
     let out = tiles_mem
         .iter()
         .map(|tile| {
             let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
-            let sim = execute_tile(sage, &mut arena, a_acf, a_csr.as_deref(), &tile_acf, spgemm)?;
+            let sim = execute_tile(sage, &mut arena, &kernel, &tile_acf)?;
             Ok((conv, sim))
         })
         .collect();
@@ -803,12 +815,12 @@ fn predict_structure(
     b: &CooMatrix,
     evaluation: &Evaluation,
     schedule: &ColumnSchedule,
-    spgemm: bool,
+    dataflow: Dataflow,
     pool: &Mutex<ArenaPool>,
 ) -> Result<PlanPrediction, RunError> {
     let choice = &evaluation.choice;
     let (a_acf, conv_a, tiles_mem, _) = prepare_operands(sage, choice, &schedule.ranges, a, b)?;
-    let executed = convert_and_execute_tiles(sage, choice, spgemm, &a_acf, &tiles_mem, pool)?;
+    let executed = convert_and_execute_tiles(sage, choice, dataflow, &a_acf, &tiles_mem, pool)?;
     let per_tile_conv: Vec<u64> = executed
         .iter()
         .map(|(conv, _)| conv.pipelined_cycles())
@@ -823,6 +835,15 @@ fn predict_structure(
     })
 }
 
+/// The simulator each tile of a run executes on, holding the streaming
+/// operand in the form that simulator reads.
+enum TileKernel<'a> {
+    /// [`simulate_ws`]: A streams in its ACF against B stationary.
+    WeightStationary(&'a MatrixData),
+    /// [`simulate_spgemm`]: A's CSR view streams against B's rows.
+    Gustavson(&'a CsrMatrix),
+}
+
 /// Run one converted stationary tile on the cycle-accurate simulator.
 ///
 /// SpGEMM tiles that need a CSR view draw both the traversal scratch and
@@ -832,21 +853,19 @@ fn predict_structure(
 fn execute_tile(
     sage: &Sage,
     arena: &mut StreamArena,
-    a_acf: &MatrixData,
-    a_csr: Option<&CsrMatrix>,
+    kernel: &TileKernel<'_>,
     tile_acf: &MatrixData,
-    spgemm: bool,
 ) -> Result<SimResult, RunError> {
-    let sim = if spgemm {
-        let a = a_csr.expect("CSR A is materialized for SpGEMM runs");
-        let tile_csr = csr_cow_in(arena, tile_acf);
-        let sim = simulate_spgemm(a, &tile_csr, &sage.accel)?;
-        if let std::borrow::Cow::Owned(c) = tile_csr {
-            arena.recycle_csr(c);
+    let sim = match *kernel {
+        TileKernel::Gustavson(a) => {
+            let tile_csr = csr_cow_in(arena, tile_acf);
+            let sim = simulate_spgemm(a, &tile_csr, &sage.accel)?;
+            if let std::borrow::Cow::Owned(c) = tile_csr {
+                arena.recycle_csr(c);
+            }
+            sim
         }
-        sim
-    } else {
-        simulate_ws(a_acf, tile_acf, &sage.accel)?
+        TileKernel::WeightStationary(a) => simulate_ws(a, tile_acf, &sage.accel)?,
     };
     Ok(sim)
 }

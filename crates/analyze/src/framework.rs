@@ -77,8 +77,7 @@ pub struct AnalysisConfig {
     pub hot_files: Vec<String>,
     /// `(file, fn)` pairs whose bodies are hot paths.
     pub hot_fns: Vec<(String, String)>,
-    /// Files allowed to spawn/scope threads (the serving worker pool
-    /// and its bench harness).
+    /// Files allowed to spawn/scope threads (the serving worker pool).
     pub spawn_sanctioned: Vec<String>,
 }
 
@@ -107,10 +106,7 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs".into(), "stream_csc_pass".into()),
                 ("crates/accel/src/exec.rs".into(), "spgemm_pass".into()),
             ],
-            spawn_sanctioned: vec![
-                "crates/serve/src/service.rs".into(),
-                "crates/bench/src/serving.rs".into(),
-            ],
+            spawn_sanctioned: vec!["crates/serve/src/service.rs".into()],
         }
     }
 

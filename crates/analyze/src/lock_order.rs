@@ -2,7 +2,7 @@
 //! detector.
 //!
 //! The serving stack acquires a web of locks — the service's `central`
-//! state, per-job ticket slots, the sharded `PlanCache`, the planner's
+//! state, per-job ticket slots, the one-lock `PlanCache`, the planner's
 //! `tile_arenas` pool. A deadlock needs two threads acquiring the same
 //! pair of locks in opposite orders; this lint extracts the
 //! **lock-while-holding** edges from every function and reports any
@@ -13,7 +13,7 @@
 //!
 //! - `X.lock()` acquires the lock named by the last field/identifier of
 //!   the receiver chain (`self.shared.central.lock()` → `central`,
-//!   `self.shards[i].lock()` → `shards`); numeric tuple fields and
+//!   `self.slots[i].lock()` → `slots`); numeric tuple fields and
 //!   `self`/`shared` wrappers are skipped.
 //! - A `let`-bound guard is held until `drop(binding)` or the end of
 //!   its block; an unbound (temporary) guard is held until the end of
@@ -28,7 +28,7 @@
 //!
 //! Edges are informational (printed by the report); only cycles over
 //! distinct locks become gate findings. Same-name re-acquisition
-//! (`shards` while holding `shards`) is recorded as a self-edge in the
+//! (`state` while holding `state`) is recorded as a self-edge in the
 //! edge list for human review, but conservative guard-lifetime
 //! over-approximation makes it too noisy to gate on.
 

@@ -1,11 +1,10 @@
 //! `thread-spawn-containment`: threads are created only in the
-//! sanctioned modules.
+//! sanctioned module.
 //!
 //! The library has one level of host parallelism: the serving worker
 //! pool, where each thread runs whole jobs popped from one central
 //! queue. The kernels, the planner's tile executor and `run_batch` all
-//! run sequentially on their caller's thread; the serving bench harness
-//! is the only other sanctioned spawn site. A `thread::spawn`,
+//! run sequentially on their caller's thread. A `thread::spawn`,
 //! `thread::scope` or `thread::Builder` anywhere else adds a second
 //! level of threads that no benchmark has shown to pay, so it is
 //! flagged.

@@ -69,15 +69,16 @@ fn lock_graph_stays_acyclic() {
     let cycles = report.of("lock-order-cycle");
     assert!(cycles.is_empty(), "{cycles:?}");
     // The detector is actually looking at the real lock web, not an
-    // empty graph: the plan cache's shard guard is held across calls
-    // that take a shard's `state` lock, so a shards->state edge must
-    // exist.
+    // empty graph: the serve worker loop calls `wait()` while holding
+    // the `central` guard, the analyzer resolves that call by name to
+    // the same-file `JobTicket::wait`, and that takes a ticket slot's
+    // `lock`, so a central->lock edge must exist.
     assert!(
         report
             .edges
             .iter()
-            .any(|e| e.from == "shards" && e.to == "state"),
-        "expected plan-cache shard edges in {:?}",
+            .any(|e| e.from == "central" && e.to == "lock"),
+        "expected the serve central->lock edge in {:?}",
         report.edges
     );
 }

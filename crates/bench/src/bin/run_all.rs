@@ -120,8 +120,7 @@ fn main() -> std::io::Result<()> {
     // Persist the calibration rounds' executed-plan traces so a later
     // process can warm-start its calibrator from this traffic.
     sparseflex_core::write_traces(&dir.join("traces.json"), &search_measured.traces)?;
-    // Serving exhibit: multi-tenant throughput through the wire format
-    // plus the plan-cache sharding comparison.
+    // Serving exhibit: multi-tenant throughput through the wire format.
     eprintln!("generating serving + BENCH_serving.json ...");
     let serving_measured = sparseflex_bench::serving::measure_with(warm_traces.as_deref());
     fs::write(

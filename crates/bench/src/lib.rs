@@ -22,7 +22,7 @@
 //! | [`table2`] | Table II — evaluated accelerator configs |
 //! | [`table3`] | Table III — workloads + SAGE format selections |
 //! | [`pipeline`] | tile-grained runtime — overlapped vs serial vs batched |
-//! | [`serving`] | serving layer — multi-tenant throughput + plan-cache sharding |
+//! | [`serving`] | serving layer — multi-tenant throughput over 1/2/4/8 workers |
 //! | [`kernels`] | streaming kernels — zero-alloc steady state + SpGEMM dataflow timings |
 
 #![deny(unsafe_code)]

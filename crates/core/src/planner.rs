@@ -41,9 +41,7 @@ use sparseflex_mint::{conversion_cost, ConversionReport};
 use sparseflex_sage::eval::Evaluation;
 use sparseflex_sage::{Sage, SageKernel, SageWorkload};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which tiling discipline a plan should schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,53 +138,19 @@ struct LruState {
     counters: CacheCounters,
 }
 
-/// One lock domain of the sharded cache: an LRU map plus the counter of
-/// lock acquisitions that found the mutex already held.
-#[derive(Debug, Default)]
-struct Shard {
-    state: Mutex<LruState>,
-    /// Acquisitions whose `try_lock` failed before blocking — the
-    /// measured contention signal the serving bench tracks.
-    contended: AtomicU64,
-}
-
-impl Shard {
-    /// Lock the shard, counting the acquisition as contended when the
-    /// mutex was already held by another worker.
-    fn lock(&self) -> std::sync::MutexGuard<'_, LruState> {
-        match self.state.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                self.state.lock().expect("plan cache poisoned")
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("plan cache poisoned"),
-        }
-    }
-}
-
-/// Thread-safe **bounded** cache of SAGE evaluations with LRU eviction,
-/// optionally sharded by key hash.
+/// Thread-safe **bounded** cache of SAGE evaluations with LRU eviction.
 ///
 /// The MCF×ACF search is the most expensive part of serving a small
 /// workload; batches with repeated shapes (the common serving pattern)
 /// pay it once. The cache holds at most `capacity` distinct shapes under
-/// sustained traffic: inserting beyond a shard's bound evicts that
-/// shard's least-recently-*used* entry (lookups refresh recency, so hot
-/// shapes survive cold scans).
-///
-/// [`with_capacity`](PlanCache::with_capacity) builds the classic
-/// single-lock cache (one shard, global LRU order);
-/// [`with_shards`](PlanCache::with_shards) splits the key space across
-/// `shards` independent locks so concurrent workers serving disjoint
-/// shapes stop serializing on one mutex — the contention the serving
-/// bench first measures on the single-lock layout and then removes.
-/// Eviction order is LRU *per shard*; counters aggregate across shards
-/// (per-shard snapshots via [`shard_counters`](PlanCache::shard_counters)).
+/// sustained traffic: inserting beyond the bound evicts the
+/// least-recently-*used* entry (lookups refresh recency, so hot shapes
+/// survive cold scans). One lock guards the whole map, so LRU order is
+/// exact across every caller.
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Shard>,
-    shard_capacity: usize,
+    state: Mutex<LruState>,
+    capacity: usize,
 }
 
 /// Default number of distinct workload shapes a plan cache retains.
@@ -201,58 +165,35 @@ impl Default for PlanCache {
 impl Clone for PlanCache {
     fn clone(&self) -> Self {
         PlanCache {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| Shard {
-                    state: Mutex::new(s.state.lock().expect("plan cache poisoned").clone()),
-                    contended: AtomicU64::new(0),
-                })
-                .collect(),
-            shard_capacity: self.shard_capacity,
+            state: Mutex::new(self.lock().clone()),
+            capacity: self.capacity,
         }
     }
 }
 
 impl PlanCache {
-    /// The classic single-lock cache bounded to `capacity` entries
-    /// (clamped to at least 1), with exact global LRU order.
+    /// A cache bounded to `capacity` entries (clamped to at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache::with_shards(capacity, 1)
-    }
-
-    /// A cache of ~`capacity` total entries split across `shards`
-    /// independent lock domains (both clamped to at least 1). Each shard
-    /// is bounded to `ceil(capacity / shards)` entries, so the reported
-    /// [`capacity`](PlanCache::capacity) may round up slightly.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let shard_capacity = capacity.max(1).div_ceil(shards);
         PlanCache {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            shard_capacity,
+            state: Mutex::new(LruState::default()),
+            capacity: capacity.max(1),
         }
     }
 
-    /// The total capacity bound (summed across shards).
+    /// The capacity bound.
     pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.capacity
     }
 
-    /// Number of independent lock domains.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a key hashes to (stable within a process run).
-    fn shard_index(&self, key: &PlanKey) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+    /// Lock the cache, recovering a poisoned lock: every critical
+    /// section only touches the map, the tick and the counters, so a
+    /// panic under the lock cannot leave the cache half-updated.
+    fn lock(&self) -> MutexGuard<'_, LruState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn lookup(&self, key: &PlanKey) -> Option<Evaluation> {
-        let mut s = self.shards[self.shard_index(key)].lock();
+        let mut s = self.lock();
         s.tick += 1;
         let tick = s.tick;
         match s.map.get_mut(key) {
@@ -270,12 +211,11 @@ impl PlanCache {
     }
 
     fn insert(&self, key: PlanKey, eval: Evaluation) {
-        let shard_capacity = self.shard_capacity;
-        let mut s = self.shards[self.shard_index(&key)].lock();
+        let mut s = self.lock();
         s.tick += 1;
         let tick = s.tick;
-        if !s.map.contains_key(&key) && s.map.len() >= shard_capacity {
-            // Evict the shard's least-recently-used entry (smallest tick).
+        if !s.map.contains_key(&key) && s.map.len() >= self.capacity {
+            // Evict the least-recently-used entry (smallest tick).
             if let Some(oldest) = s
                 .map
                 .iter()
@@ -304,41 +244,14 @@ impl PlanCache {
         self.counters().evictions
     }
 
-    /// Snapshot of all counters, aggregated across shards.
+    /// Snapshot of all counters.
     pub fn counters(&self) -> CacheCounters {
-        self.shard_counters()
-            .into_iter()
-            .fold(CacheCounters::default(), |acc, c| CacheCounters {
-                hits: acc.hits + c.hits,
-                misses: acc.misses + c.misses,
-                evictions: acc.evictions + c.evictions,
-            })
+        self.lock().counters
     }
 
-    /// Per-shard counter snapshots, in shard order.
-    pub fn shard_counters(&self) -> Vec<CacheCounters> {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().expect("plan cache poisoned").counters)
-            .collect()
-    }
-
-    /// Lock acquisitions that found the mutex already held, summed over
-    /// shards — the measured-contention signal of the serving bench
-    /// (reset never; subtract snapshots to scope a window).
-    pub fn contended_acquisitions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.contended.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Distinct workload shapes currently cached, summed over shards.
+    /// Distinct workload shapes currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().expect("plan cache poisoned").map.len())
-            .sum()
+        self.lock().map.len()
     }
 
     /// True when no plan has been cached yet.
@@ -404,28 +317,6 @@ impl Planner {
             calibrator: Calibrator::default(),
             tile_arenas: Mutex::new(ArenaPool::new()),
         }
-    }
-
-    /// A planner around an explicit (possibly sharded) cache — the hook
-    /// the serving layer uses to swap in a
-    /// [`PlanCache::with_shards`] cache for its worker pool.
-    pub fn with_cache(cache: PlanCache) -> Self {
-        Planner {
-            cache,
-            cost_model: CostModel::default(),
-            calibrator: Calibrator::default(),
-            tile_arenas: Mutex::new(ArenaPool::new()),
-        }
-    }
-
-    /// The cache shard the (free-search) plan row for `w` lives in.
-    ///
-    /// `PlanKey` is private; this accessor exposes just the key→shard
-    /// mapping so the serving bench's deterministic lock-service model
-    /// can replay real workload streams against the true shard layout.
-    pub fn cache_shard(&self, sage: &Sage, w: &SageWorkload) -> usize {
-        let key = PlanKey::new(w, sage.config_fingerprint(), self.calibrator.generation());
-        self.cache.shard_index(&key)
     }
 
     /// Fetch the evaluation for `w`, running the SAGE MCF×ACF search
@@ -1007,75 +898,5 @@ mod tests {
         planner.evaluate_cached(&sage, &workload(1));
         let delta = planner.cache.counters().since(before);
         assert_eq!((delta.hits, delta.misses), (1, 1));
-    }
-
-    #[test]
-    fn with_capacity_is_single_shard() {
-        let cache = PlanCache::with_capacity(8);
-        assert_eq!(cache.num_shards(), 1);
-        assert_eq!(cache.capacity(), 8);
-    }
-
-    #[test]
-    fn sharded_cache_aggregates_counters_and_len() {
-        let sage = Sage::default();
-        let planner = Planner::with_cache(PlanCache::with_shards(64, 8));
-        assert_eq!(planner.cache.num_shards(), 8);
-        assert_eq!(planner.cache.capacity(), 64);
-        for i in 0..16 {
-            planner.evaluate_cached(&sage, &workload(i)); // misses
-        }
-        for i in 0..16 {
-            planner.evaluate_cached(&sage, &workload(i)); // hits
-        }
-        let c = planner.cache.counters();
-        assert_eq!((c.hits, c.misses, c.evictions), (16, 16, 0));
-        assert_eq!(planner.cache.len(), 16);
-        let per_shard = planner.cache.shard_counters();
-        assert_eq!(per_shard.len(), 8);
-        assert_eq!(per_shard.iter().map(|c| c.hits).sum::<u64>(), 16);
-        assert_eq!(per_shard.iter().map(|c| c.misses).sum::<u64>(), 16);
-    }
-
-    #[test]
-    fn sharded_cache_still_bounds_and_serves_hits() {
-        let sage = Sage::default();
-        // Tiny per-shard bound: ceil(8/4) = 2 entries per shard.
-        let planner = Planner::with_cache(PlanCache::with_shards(8, 4));
-        for i in 0..64 {
-            planner.evaluate_cached(&sage, &workload(i));
-        }
-        assert!(
-            planner.cache.len() <= planner.cache.capacity(),
-            "sharded cache must respect its total bound"
-        );
-        assert!(planner.cache.evictions() > 0);
-        // A re-lookup of a just-inserted hot key must hit.
-        planner.evaluate_cached(&sage, &workload(63));
-        let (_, cached) = planner.evaluate_cached(&sage, &workload(63));
-        assert!(cached);
-    }
-
-    #[test]
-    fn shard_mapping_is_stable_and_in_range() {
-        let sage = Sage::default();
-        let planner = Planner::with_cache(PlanCache::with_shards(64, 8));
-        for i in 0..32 {
-            let s1 = planner.cache_shard(&sage, &workload(i));
-            let s2 = planner.cache_shard(&sage, &workload(i));
-            assert_eq!(s1, s2, "same key must always map to the same shard");
-            assert!(s1 < planner.cache.num_shards());
-        }
-        // Distinct workloads must spread over more than one shard.
-        let distinct: std::collections::HashSet<usize> = (0..32)
-            .map(|i| planner.cache_shard(&sage, &workload(i)))
-            .collect();
-        assert!(distinct.len() > 1, "keys must not all land in one shard");
-    }
-
-    #[test]
-    fn contended_acquisitions_start_at_zero() {
-        let cache = PlanCache::with_shards(16, 4);
-        assert_eq!(cache.contended_acquisitions(), 0);
     }
 }

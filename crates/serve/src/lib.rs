@@ -18,7 +18,7 @@
 //!   caps), per-tenant weighted-fair stride scheduling with three
 //!   priority classes, and a pool of persistent worker threads (virtual
 //!   accelerator instances) that each pop one job at a time from the
-//!   central queue, all sharing one plan cache sharded by key hash. The
+//!   central queue, all sharing one planner and its plan cache. The
 //!   pool is the only place the library runs host threads.
 //!
 //! ## Example

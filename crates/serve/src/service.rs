@@ -22,12 +22,12 @@
 //! are the only host threads in the library: a job's tiles and a
 //! `run_batch` call both run sequentially on the thread that calls them.
 //!
-//! The pool shares one planner whose [`PlanCache`] is sharded by key
-//! hash ([`PlanCache::with_shards`]), so concurrent workers planning
-//! disjoint shapes do not serialize on a single cache lock.
+//! The pool shares the system's planner and its one-lock
+//! [`PlanCache`](sparseflex_core::PlanCache) as given: with one lookup
+//! per job, workers rarely meet on that lock.
 
 use crate::wire::{self, WireError, WireJob, WireResult};
-use sparseflex_core::{BatchJob, CacheCounters, FlexSystem, PlanCache, RunError, StoredTrace};
+use sparseflex_core::{BatchJob, CacheCounters, FlexSystem, RunError, StoredTrace};
 use sparseflex_formats::SparseMatrix;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -229,11 +229,6 @@ pub struct ServeConfig {
     /// Per-tenant in-flight cap (queued + executing); submissions beyond
     /// it are rejected with [`SubmitError::TenantBusy`].
     pub tenant_inflight_cap: usize,
-    /// Lock shards of the shared plan cache (1 = the classic
-    /// single-lock cache).
-    pub cache_shards: usize,
-    /// Total plan-cache capacity, split across shards.
-    pub cache_capacity: usize,
     /// Start with dispatch paused (submissions accepted, nothing
     /// executed) until [`FlexService::resume`] — lets tests line up a
     /// full backlog so scheduling order is deterministic.
@@ -246,8 +241,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 256,
             tenant_inflight_cap: 128,
-            cache_shards: 8,
-            cache_capacity: sparseflex_core::DEFAULT_PLAN_CACHE_CAPACITY,
             start_paused: false,
         }
     }
@@ -285,12 +278,8 @@ pub struct ServiceStats {
     /// steal from each other. Kept so existing readers of the field
     /// still compile.
     pub jobs_stolen: u64,
-    /// Plan-cache counters aggregated across shards.
+    /// Plan-cache counters.
     pub cache: CacheCounters,
-    /// Per-shard plan-cache counters.
-    pub cache_shards: Vec<CacheCounters>,
-    /// Cache-lock acquisitions that found the lock already held.
-    pub cache_contended: u64,
     /// Worker threads in the pool.
     pub workers: usize,
 }
@@ -459,8 +448,7 @@ impl Shared {
 /// The multi-tenant serving front-end over a [`FlexSystem`].
 ///
 /// Owns a pool of persistent worker threads sharing the system's
-/// planner (with its cache re-sharded per
-/// [`ServeConfig::cache_shards`]). Dropping the service shuts the pool
+/// planner and its plan cache. Dropping the service shuts the pool
 /// down and resolves every still-queued ticket with
 /// [`ServeError::Shutdown`].
 pub struct FlexService {
@@ -478,13 +466,12 @@ impl std::fmt::Debug for FlexService {
 }
 
 impl FlexService {
-    /// Start the service around `system` (its planner's cache is
-    /// replaced by a sharded cache per the config; calibrator state —
-    /// including any warm start — is preserved). Fails with
+    /// Start the service around `system`, serving with its planner as
+    /// given: cached plans, cache capacity and calibrator state —
+    /// including any warm start — all carry over. Fails with
     /// [`StartError`] if the OS refuses a worker thread; any workers
     /// already spawned are torn down first.
-    pub fn start(mut system: FlexSystem, config: ServeConfig) -> Result<Self, StartError> {
-        system.planner.cache = PlanCache::with_shards(config.cache_capacity, config.cache_shards);
+    pub fn start(system: FlexSystem, config: ServeConfig) -> Result<Self, StartError> {
         let clock_hz = system.sage.accel.clock_hz;
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -642,14 +629,11 @@ impl FlexService {
             })
             .collect();
         tenants.sort_by_key(|t| t.tenant);
-        let cache = &self.shared.system.planner.cache;
         ServiceStats {
             jobs_completed: tenants.iter().map(|t| t.completed).sum(),
             jobs_rejected: tenants.iter().map(|t| t.rejected).sum(),
             jobs_stolen: 0,
-            cache: cache.counters(),
-            cache_shards: cache.shard_counters(),
-            cache_contended: cache.contended_acquisitions(),
+            cache: self.shared.system.planner.cache.counters(),
             workers: self.workers.len(),
             tenants,
         }
@@ -775,7 +759,6 @@ mod tests {
                 queue_capacity: 4,
                 tenant_inflight_cap: 3,
                 start_paused: true,
-                ..ServeConfig::default()
             },
         )
         .expect("service starts");
@@ -812,7 +795,6 @@ mod tests {
                 queue_capacity: 1024,
                 tenant_inflight_cap: 1024,
                 start_paused: true,
-                ..ServeConfig::default()
             },
         )
         .expect("service starts");
@@ -885,5 +867,49 @@ mod tests {
         let ticket = service.submit(job(1, Priority::Normal, 0)).unwrap();
         service.shutdown();
         assert_eq!(ticket.wait(), Err(ServeError::Shutdown));
+    }
+
+    #[test]
+    fn start_keeps_the_systems_own_plan_cache() {
+        // One `A` row count per job, so every job is its own cache key.
+        let shaped = |rows: usize| WireJob {
+            tenant: 1,
+            priority: Priority::Normal,
+            dtype: DataType::Fp32,
+            a: MatrixData::encode(&operand(rows, 10, 7), &MatrixFormat::Csr).unwrap(),
+            b: MatrixData::encode(&operand(10, 6, 107), &MatrixFormat::Zvc).unwrap(),
+        };
+        let system = FlexSystem {
+            planner: sparseflex_core::Planner::with_capacity(4),
+            ..FlexSystem::default()
+        };
+        let warm = shaped(8);
+        let batch = system.run_batch(&[BatchJob::spgemm(
+            warm.a.to_coo(),
+            warm.b.to_coo(),
+            warm.dtype,
+        )]);
+        assert_eq!(batch.plans_computed, 1);
+        let service = FlexService::start(
+            system,
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("service starts");
+        service.submit(warm).unwrap().wait().expect("job completes");
+        assert_eq!(service.stats().cache.hits, 1, "the warmed key must hit");
+        for rows in 9..14 {
+            service
+                .submit(shaped(rows))
+                .unwrap()
+                .wait()
+                .expect("job completes");
+        }
+        let cache = service.stats().cache;
+        assert_eq!((cache.hits, cache.misses), (1, 6));
+        // Six keys through a 4-entry cache: the system's capacity holds.
+        assert_eq!(cache.evictions, 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Serving-layer tour: three tenants share one `FlexService` — jobs
 //! travel as binary wire frames through admission control into the
-//! weighted-fair scheduler, execute on a central-queue worker pool over a
-//! sharded plan cache, and come back as result frames.
+//! weighted-fair scheduler, execute on a central-queue worker pool over
+//! one shared plan cache, and come back as result frames.
 //!
 //! Run with `cargo run --release --example serve_demo`.
 
@@ -19,7 +19,6 @@ fn main() {
         system,
         ServeConfig {
             workers: 4,
-            cache_shards: 8,
             ..ServeConfig::default()
         },
     )
@@ -63,11 +62,8 @@ fn main() {
         stats.jobs_completed, stats.workers, stats.jobs_rejected
     );
     println!(
-        "plan cache: {} hits / {} misses across {} shards ({} contended acquisitions)",
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache_shards.len(),
-        stats.cache_contended
+        "plan cache: {} hits / {} misses / {} evictions",
+        stats.cache.hits, stats.cache.misses, stats.cache.evictions
     );
     println!("\ntenant  weight  submitted  completed  rejected  queue-wait (Mcycles)");
     for t in &stats.tenants {

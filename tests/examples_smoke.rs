@@ -198,7 +198,6 @@ fn serve_demo_path_end_to_end() {
         system,
         ServeConfig {
             workers: 2,
-            cache_shards: 8,
             ..ServeConfig::default()
         },
     )
@@ -232,7 +231,11 @@ fn serve_demo_path_end_to_end() {
     let stats = service.stats();
     assert_eq!(stats.jobs_completed, 12);
     assert_eq!(stats.jobs_rejected, 0);
-    assert_eq!(stats.cache_shards.len(), 8, "demo runs the sharded cache");
+    assert_eq!(
+        stats.cache.hits + stats.cache.misses,
+        12,
+        "every demo job plans through the cache"
+    );
     // The demo's per-tenant table: three registered tenants whose
     // counters cover the whole stream.
     assert_eq!(stats.tenants.len(), 3);

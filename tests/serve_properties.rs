@@ -134,7 +134,6 @@ fn no_tenant_starves_under_a_saturating_competitor() {
             queue_capacity: 256,
             tenant_inflight_cap: 256,
             start_paused: true,
-            ..ServeConfig::default()
         },
     )
     .expect("service starts");
@@ -197,7 +196,6 @@ fn admission_control_rejects_with_typed_errors_over_the_wire() {
             queue_capacity: 3,
             tenant_inflight_cap: 1,
             start_paused: true,
-            ..ServeConfig::default()
         },
     )
     .expect("service starts");

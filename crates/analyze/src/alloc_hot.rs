@@ -18,6 +18,9 @@
 //!   Gustavson's addition order from caller-owned buffers).
 //! - the accelerator simulators' per-pass beat loops in `accel::exec`
 //!   (beats are packed into buffers allocated once per simulation).
+//! - the `Bitmask` and `RunLength` level walks in `formats::level`
+//!   (`for_each_set`, `decode`), which every ZVC, RLC and open-descriptor
+//!   traversal runs per fiber.
 //!
 //! Deliberate warm-up allocation can be waived per line with
 //! `// sflint::allow(alloc-in-hot-path)`.
@@ -163,6 +166,17 @@ mod tests {
         let src = SourceFile::parse(
             "crates/accel/src/exec.rs",
             "fn stream_csc_pass() {\n    let work = vec![0u64; 8];\n}\nfn spgemm_pass() {\n    let beat: Vec<_> = ks.iter().collect();\n}\nfn simulate_ws() {\n    let pes = vec![0; 8];\n}\n",
+        );
+        let f = run(&src, &AnalysisConfig::workspace());
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.line == 2 || f.line == 5));
+    }
+
+    #[test]
+    fn workspace_policy_covers_the_level_walks() {
+        let src = SourceFile::parse(
+            "crates/formats/src/level.rs",
+            "fn for_each_set() {\n    let words = mask.to_vec();\n}\nfn decode() {\n    let runs: Vec<_> = entries.iter().collect();\n}\nfn check() {\n    let v = Vec::new();\n}\n",
         );
         let f = run(&src, &AnalysisConfig::workspace());
         assert_eq!(f.len(), 2, "{f:?}");

@@ -105,6 +105,10 @@ impl AnalysisConfig {
                 ),
                 ("crates/accel/src/exec.rs".into(), "stream_csc_pass".into()),
                 ("crates/accel/src/exec.rs".into(), "spgemm_pass".into()),
+                // The level walks every Bitmask and RunLength traversal
+                // runs per fiber.
+                ("crates/formats/src/level.rs".into(), "for_each_set".into()),
+                ("crates/formats/src/level.rs".into(), "decode".into()),
             ],
             spawn_sanctioned: vec!["crates/serve/src/service.rs".into()],
         }

@@ -8,10 +8,14 @@
 //!   during the *warm-up* traversal (the arena growing to the format's
 //!   high-water mark) vs the *steady-state* traversal (same arena,
 //!   second pass). The tentpole claim is steady = 0 for every format
-//!   that needs scratch (CSC/BSR/ELL/DIA/RLC/ZVC/Custom), which
-//!   [`enforce`] gates. Counts read 0 unless the measuring binary
-//!   installs [`crate::allocs::CountingAllocator`]; `counting_installed`
-//!   records which case the snapshot was taken under.
+//!   that needs scratch (CSC/BSR/ELL/DIA/RLC/ZVC), which [`enforce`]
+//!   gates. The open-descriptor compositions `CustomMatrix` stores have
+//!   no row here: `tests/stream_arena.rs`
+//!   (`warm_arena_traversals_never_allocate`) gates them, full and
+//!   ranged walks, in both rank orders. Counts read 0 unless the
+//!   measuring binary installs [`crate::allocs::CountingAllocator`];
+//!   `counting_installed` records which case the snapshot was taken
+//!   under.
 //! - **SpGEMM dataflow points** — Gustavson vs row-wise wall-clock on a
 //!   moderate and a hyper-sparse/wide operand pair, plus which dataflow
 //!   [`sparseflex_sage::choose_spgemm_algo`] picks for each. Untimed

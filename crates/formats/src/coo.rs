@@ -3,6 +3,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::FormatError;
 use crate::traits::SparseMatrix;
+use crate::traverse::RowMajorStream;
 use crate::Value;
 
 /// Coordinate-list sparse matrix (Fig. 3a, "Coordinate (COO)").
@@ -170,6 +171,30 @@ impl CooMatrix {
             .map(|((r, c), v)| (r, c, v))
             .collect();
         Self::from_sorted_triplets(rows, cols, triplets)
+    }
+
+    /// Collect a fiber stream's elements. The stream ordering contract
+    /// (rows ascending, columns strictly ascending within a row) makes
+    /// the arrays valid COO as they arrive; explicit zeros are dropped as
+    /// [`from_sorted_triplets`](Self::from_sorted_triplets) drops them.
+    pub(crate) fn from_stream<S: RowMajorStream>(stream: &S) -> CooMatrix {
+        let nnz = stream.nnz();
+        let mut coo = CooMatrix {
+            rows: stream.rows(),
+            cols: stream.cols(),
+            row_ids: Vec::with_capacity(nnz),
+            col_ids: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        };
+        stream.for_each_nnz(&mut |r, c, v| {
+            debug_assert!(coo.row_ids.last().zip(coo.col_ids.last()) < Some((&r, &c)));
+            if v != 0.0 {
+                coo.row_ids.push(r);
+                coo.col_ids.push(c);
+                coo.values.push(v);
+            }
+        });
+        coo
     }
 
     /// Row coordinates, parallel to [`values`](Self::values).

@@ -32,6 +32,8 @@ use crate::descriptor::{FormatDescriptor, Level, RankOrder, ValuesLayout};
 use crate::dtype::DataType;
 use crate::error::FormatError;
 use crate::formats::{MatrixData, MatrixFormat};
+use crate::level::{bitmask, run_length};
+use crate::rlc::RlcEntry;
 use crate::size_model::{descriptor_matrix_bits, MatrixStructure, SizeBreakdown};
 use crate::traits::SparseMatrix;
 use crate::traverse::{RowFiberSink, RowMajorStream};
@@ -67,7 +69,7 @@ enum InnerStore {
         /// Width of the zero-run field.
         run_bits: u32,
         /// Entries in fiber order, delimited by `ptr`.
-        entries: Vec<(u64, Value)>,
+        entries: Vec<RlcEntry>,
     },
 }
 
@@ -145,9 +147,9 @@ impl CustomMatrix {
         let outer = match outer_level {
             Level::Uncompressed => OuterStore::Dense,
             _ => {
-                let mut mask = vec![0u64; outer_extent.div_ceil(64)];
+                let mut mask = vec![0u64; bitmask::words(outer_extent)];
                 for &f in &stored {
-                    mask[f / 64] |= 1u64 << (f % 64);
+                    bitmask::set(&mut mask, f);
                 }
                 OuterStore::Mask(mask)
             }
@@ -170,13 +172,13 @@ impl CustomMatrix {
                 InnerStore::Coords(coords)
             }
             Level::Bitmask => {
-                let words_per_fiber = inner_extent.div_ceil(64);
+                let words_per_fiber = bitmask::words(inner_extent);
                 let mut bits = Vec::with_capacity(stored.len() * words_per_fiber);
                 for &f in &stored {
                     let base = bits.len();
                     bits.resize(base + words_per_fiber, 0u64);
                     for &(i, v) in &fibers[f] {
-                        bits[base + i / 64] |= 1u64 << (i % 64);
+                        bitmask::set(&mut bits[base..], i);
                         values.push(v);
                     }
                     ptr.push(values.len());
@@ -187,19 +189,9 @@ impl CustomMatrix {
                 }
             }
             Level::RunLength { run_bits } => {
-                let max_run = (1u64 << run_bits) - 1;
-                let mut entries: Vec<(u64, Value)> = Vec::new();
+                let mut entries = Vec::new();
                 for &f in &stored {
-                    let mut cursor = 0u64;
-                    for &(i, v) in &fibers[f] {
-                        let mut gap = i as u64 - cursor;
-                        while gap > max_run {
-                            entries.push((max_run, 0.0)); // extension entry
-                            gap -= max_run + 1;
-                        }
-                        entries.push((gap, v));
-                        cursor = i as u64 + 1;
-                    }
+                    run_length::encode(run_bits, fibers[f].iter().copied(), &mut entries);
                     ptr.push(entries.len());
                 }
                 InnerStore::Runs { run_bits, entries }
@@ -246,13 +238,21 @@ impl CustomMatrix {
         self.storage_breakdown(dtype).total()
     }
 
-    /// Stored fibers of the outer rank, ascending.
-    fn stored_fibers(&self) -> Vec<usize> {
+    /// Visit `(storage index, fiber)` for each stored outer fiber in
+    /// `range`, ascending: every fiber when the outer rank is dense, the
+    /// set bits of the presence mask otherwise.
+    fn for_each_stored_fiber(&self, range: Range<usize>, mut visit: impl FnMut(usize, usize)) {
+        let hi = range.end.min(self.outer_extent());
+        let lo = range.start.min(hi);
         match &self.outer {
-            OuterStore::Dense => (0..self.outer_extent()).collect(),
-            OuterStore::Mask(mask) => (0..self.outer_extent())
-                .filter(|&f| mask[f / 64] >> (f % 64) & 1 == 1)
-                .collect(),
+            OuterStore::Dense => (lo..hi).for_each(|f| visit(f, f)),
+            OuterStore::Mask(mask) => {
+                let mut si = bitmask::rank(mask, lo);
+                bitmask::for_each_set(mask, lo..hi, |f| {
+                    visit(si, f);
+                    si += 1;
+                });
+            }
         }
     }
 
@@ -264,14 +264,7 @@ impl CustomMatrix {
         }
         match &self.outer {
             OuterStore::Dense => Some(f),
-            OuterStore::Mask(mask) => {
-                if mask[f / 64] >> (f % 64) & 1 == 0 {
-                    return None;
-                }
-                let below: u32 = mask[..f / 64].iter().map(|w| w.count_ones()).sum();
-                let partial = (mask[f / 64] & ((1u64 << (f % 64)) - 1)).count_ones();
-                Some((below + partial) as usize)
-            }
+            OuterStore::Mask(mask) => bitmask::test(mask, f).then(|| bitmask::rank(mask, f)),
         }
     }
 
@@ -304,26 +297,15 @@ impl CustomMatrix {
                 words_per_fiber,
                 bits,
             } => {
-                let base = si * words_per_fiber;
-                let mut vi = s;
-                for i in 0..self.inner_extent() {
-                    if bits[base + i / 64] >> (i % 64) & 1 == 1 {
-                        coords.push(i);
-                        vals.push(self.values[vi]);
-                        vi += 1;
-                    }
-                }
-                debug_assert_eq!(vi, e);
+                let mask = &bits[si * words_per_fiber..(si + 1) * words_per_fiber];
+                bitmask::for_each_set(mask, 0..self.inner_extent(), |i| coords.push(i));
+                vals.extend_from_slice(&self.values[s..e]);
+                debug_assert_eq!(coords.len(), e - s);
             }
             InnerStore::Runs { entries, .. } => {
-                let mut cursor = 0u64;
-                for &(gap, v) in &entries[s..e] {
-                    let pos = cursor + gap;
-                    cursor = pos + 1;
-                    if v != 0.0 {
-                        coords.push(pos as usize);
-                        vals.push(v);
-                    }
+                for (pos, v) in run_length::decode(&entries[s..e]) {
+                    coords.push(pos as usize);
+                    vals.push(v);
                 }
             }
         }
@@ -331,12 +313,15 @@ impl CustomMatrix {
 }
 
 impl RowMajorStream for CustomMatrix {
-    /// Row-major traversal: native fiber walk for row-major orders, a
-    /// counting-sort transpose (the CSC algorithm) for column-major. All
-    /// scratch comes from the arena, so repeat traversals allocate
-    /// nothing once its buffers have grown to fit the operand.
+    /// Row-major orders take the ranged walk over every row; column-major
+    /// runs a counting-sort transpose (the CSC algorithm). All scratch
+    /// comes from the arena, so repeat traversals allocate nothing once
+    /// its buffers have grown to fit the operand.
     fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        let stored = self.stored_fibers();
+        if self.desc.order != RankOrder::ColMajor {
+            self.for_each_fiber_range_in(0..self.rows, arena, emit);
+            return;
+        }
         let StreamArena {
             coords,
             vals,
@@ -345,28 +330,19 @@ impl RowMajorStream for CustomMatrix {
             triples,
             ..
         } = arena;
-        if self.desc.order != RankOrder::ColMajor {
-            for (si, &f) in stored.iter().enumerate() {
-                self.decode_fiber(si, coords, vals);
-                if !coords.is_empty() {
-                    emit(f, coords, vals);
-                }
-            }
-            return;
-        }
         // Column-major: bucket all entries by row, columns stay sorted
         // because fibers are visited in ascending column order.
         row_ptr.clear();
         row_ptr.resize(self.rows + 1, 0);
         triples.clear();
         triples.reserve(self.nnz);
-        for (si, &col) in stored.iter().enumerate() {
+        self.for_each_stored_fiber(0..self.cols, |si, col| {
             self.decode_fiber(si, coords, vals);
             for (&r, &v) in coords.iter().zip(&*vals) {
                 row_ptr[r + 1] += 1;
                 triples.push((r, col, v));
             }
-        }
+        });
         for r in 0..self.rows {
             row_ptr[r + 1] += row_ptr[r];
         }
@@ -392,9 +368,9 @@ impl RowMajorStream for CustomMatrix {
         }
     }
 
-    /// Ranged walk: row-major orders skip/clip the stored-fiber list (it is
-    /// sorted ascending); column-major runs the full counting-sort
-    /// transpose and emits only the requested row band.
+    /// Ranged walk: row-major orders visit only the stored fibers in
+    /// `range` (a rank query seeks the first one); column-major runs the
+    /// full counting-sort transpose and emits only the requested row band.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -402,20 +378,13 @@ impl RowMajorStream for CustomMatrix {
         emit: &mut RowFiberSink<'_>,
     ) {
         if self.desc.order != RankOrder::ColMajor {
-            let stored = self.stored_fibers();
             let StreamArena { coords, vals, .. } = arena;
-            for (si, &f) in stored.iter().enumerate() {
-                if f < range.start {
-                    continue;
-                }
-                if f >= range.end {
-                    break;
-                }
+            self.for_each_stored_fiber(range, |si, f| {
                 self.decode_fiber(si, coords, vals);
                 if !coords.is_empty() {
                     emit(f, coords, vals);
                 }
-            }
+            });
             return;
         }
         let hi = range.end.min(self.rows);
@@ -458,10 +427,7 @@ impl SparseMatrix for CustomMatrix {
         }
     }
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz);
-        self.for_each_nnz(&mut |r, c, v| triplets.push((r, c, v)));
-        CooMatrix::from_triplets(self.rows, self.cols, triplets)
-            .expect("stream coordinates are in bounds by construction")
+        CooMatrix::from_stream(self)
     }
 }
 
@@ -584,7 +550,7 @@ mod tests {
             panic!("expected run-length inner storage");
         };
         assert!(
-            entries.iter().any(|&(_, v)| v == 0.0),
+            entries.iter().any(|e| e.value == 0.0),
             "expected run-extension entries for the 39-column gap"
         );
         // And the stream must still be exactly the stored nonzeros.

@@ -87,6 +87,7 @@ pub mod ell;
 pub mod error;
 pub mod formats;
 pub mod hicoo;
+mod level;
 pub mod rlc;
 #[cfg(test)]
 mod roundtrip_tests;

@@ -1,7 +1,15 @@
 //! Run-Length Coding (RLC) format for matrices and 3-D tensors.
+//!
+//! RLC codes one linearized stream: `(zero run, value)` entries over
+//! row-major positions. A 3-D tensor's mode-z fiber stream keyed
+//! `x·dy + y` is exactly the row-major matrix of shape `(dx·dy, dz)`, so
+//! [`RlcTensor3`] is that [`RlcMatrix`] — same entries, same trailing
+//! zeros, bit for bit — and delegates everything to it. The entries are
+//! the crate's one `RunLength` level.
 
 use crate::coo::CooMatrix;
 use crate::error::FormatError;
+use crate::level::run_length;
 use crate::tensor::CooTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::Value;
@@ -40,36 +48,33 @@ pub struct RlcMatrix {
 impl RlcMatrix {
     /// Encode from the COO hub with the given run-field width.
     pub fn from_coo(coo: &CooMatrix, run_bits: u32) -> Self {
-        let rows = coo.rows();
         let cols = coo.cols();
-        // Walk the row-major flat index space, emitting runs between
-        // consecutive nonzeros without materializing the dense stream.
-        let max_run = (1u64 << run_bits) - 1;
-        let mut entries = Vec::with_capacity(coo.nnz());
-        let mut cursor = 0u64; // next flat index to account for
-        for (r, c, v) in coo.iter() {
-            let flat = (r * cols + c) as u64;
-            let mut gap = flat - cursor;
-            while gap > max_run {
-                entries.push(RlcEntry {
-                    zeros: max_run,
-                    value: 0.0,
-                });
-                gap -= max_run + 1;
-            }
-            entries.push(RlcEntry {
-                zeros: gap,
-                value: v,
-            });
-            cursor = flat + 1;
-        }
-        let trailing_zeros = (rows * cols) as u64 - cursor;
+        Self::from_positions(
+            coo.rows(),
+            cols,
+            run_bits,
+            coo.iter().map(|(r, c, v)| (r * cols + c, v)),
+        )
+    }
+
+    /// Encode elements given by strictly ascending row-major flat
+    /// positions, without materializing the dense stream: the one
+    /// encoder behind both shapes (the tensor passes its
+    /// `(x·dy + y)·dz + z` positions).
+    pub(crate) fn from_positions(
+        rows: usize,
+        cols: usize,
+        run_bits: u32,
+        elements: impl Iterator<Item = (usize, Value)>,
+    ) -> Self {
+        let mut entries = Vec::with_capacity(elements.size_hint().0);
+        let end = run_length::encode(run_bits, elements, &mut entries);
         RlcMatrix {
             rows,
             cols,
             run_bits,
             entries,
-            trailing_zeros,
+            trailing_zeros: (rows * cols) as u64 - end,
         }
     }
 
@@ -86,7 +91,7 @@ impl RlcMatrix {
         entries: Vec<RlcEntry>,
         trailing_zeros: u64,
     ) -> Result<Self, FormatError> {
-        let max_run = (1u64 << run_bits) - 1;
+        let max_run = run_length::max_run(run_bits);
         let mut total = trailing_zeros;
         for e in &entries {
             if e.zeros > max_run {
@@ -145,97 +150,61 @@ impl SparseMatrix for RlcMatrix {
         self.cols
     }
     fn nnz(&self) -> usize {
-        self.entries.iter().filter(|e| e.value != 0.0).count()
+        run_length::decode(&self.entries).count()
     }
     fn get(&self, row: usize, col: usize) -> Value {
         let target = (row * self.cols + col) as u64;
-        let mut cursor = 0u64;
-        for e in &self.entries {
-            let pos = cursor + e.zeros;
-            if target < pos {
-                return 0.0;
-            }
-            if target == pos {
-                return e.value;
-            }
-            cursor = pos + 1;
+        match run_length::decode(&self.entries).find(|&(pos, _)| pos >= target) {
+            Some((pos, v)) if pos == target => v,
+            _ => 0.0,
         }
-        0.0
     }
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::with_capacity(self.entries.len());
-        let mut cursor = 0u64;
-        for e in &self.entries {
-            let pos = cursor + e.zeros;
-            if e.value != 0.0 {
-                let r = (pos as usize) / self.cols;
-                let c = (pos as usize) % self.cols;
-                triplets.push((r, c, e.value));
-            }
-            cursor = pos + 1;
-        }
-        CooMatrix::from_sorted_triplets(self.rows, self.cols, triplets)
-            .expect("RLC stream is row-major ordered")
+        CooMatrix::from_stream(self)
     }
 }
 
 /// Run-length coded 3-D tensor over the `x -> y -> z` (z fastest)
-/// flattened stream, matching Fig. 3b's RLC example.
+/// flattened stream, matching Fig. 3b's RLC example: the [`RlcMatrix`]
+/// of shape `(dx·dy, dz)` whose row `x·dy + y` is the `(x, y)` mode-z
+/// fiber.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RlcTensor3 {
     dims: (usize, usize, usize),
-    run_bits: u32,
-    entries: Vec<RlcEntry>,
-    trailing_zeros: u64,
+    fibers: RlcMatrix,
 }
 
 impl RlcTensor3 {
     /// Encode from the COO tensor hub.
     pub fn from_coo(coo: &CooTensor3, run_bits: u32) -> Self {
         let (dx, dy, dz) = coo.shape();
-        let max_run = (1u64 << run_bits) - 1;
-        let mut entries = Vec::with_capacity(coo.nnz());
-        let mut cursor = 0u64;
-        for (x, y, z, v) in coo.iter() {
-            let flat = ((x * dy + y) * dz + z) as u64;
-            let mut gap = flat - cursor;
-            while gap > max_run {
-                entries.push(RlcEntry {
-                    zeros: max_run,
-                    value: 0.0,
-                });
-                gap -= max_run + 1;
-            }
-            entries.push(RlcEntry {
-                zeros: gap,
-                value: v,
-            });
-            cursor = flat + 1;
-        }
-        let trailing_zeros = (dx * dy * dz) as u64 - cursor;
+        let positions = coo.iter().map(|(x, y, z, v)| ((x * dy + y) * dz + z, v));
         RlcTensor3 {
             dims: (dx, dy, dz),
-            run_bits,
-            entries,
-            trailing_zeros,
+            fibers: RlcMatrix::from_positions(dx * dy, dz, run_bits, positions),
         }
     }
 
     /// Run-field width in bits.
     #[inline]
     pub fn run_bits(&self) -> u32 {
-        self.run_bits
+        self.fibers.run_bits()
     }
 
     /// Encoded entries.
     #[inline]
     pub fn entries(&self) -> &[RlcEntry] {
-        &self.entries
+        self.fibers.entries()
     }
 
     /// Total encoded entries (bus-traffic unit).
     pub fn stored_entries(&self) -> usize {
-        self.entries.len()
+        self.fibers.stored_entries()
+    }
+
+    /// The `(dx·dy) × dz` matrix of mode-z fibers this tensor is.
+    pub(crate) fn fibers(&self) -> &RlcMatrix {
+        &self.fibers
     }
 }
 
@@ -250,40 +219,13 @@ impl SparseTensor3 for RlcTensor3 {
         self.dims.2
     }
     fn nnz(&self) -> usize {
-        self.entries.iter().filter(|e| e.value != 0.0).count()
+        self.fibers.nnz()
     }
     fn get(&self, x: usize, y: usize, z: usize) -> Value {
-        let target = ((x * self.dims.1 + y) * self.dims.2 + z) as u64;
-        let mut cursor = 0u64;
-        for e in &self.entries {
-            let pos = cursor + e.zeros;
-            if target < pos {
-                return 0.0;
-            }
-            if target == pos {
-                return e.value;
-            }
-            cursor = pos + 1;
-        }
-        0.0
+        self.fibers.get(x * self.dims.1 + y, z)
     }
     fn to_coo(&self) -> CooTensor3 {
-        let (dy, dz) = (self.dims.1, self.dims.2);
-        let mut quads = Vec::with_capacity(self.entries.len());
-        let mut cursor = 0u64;
-        for e in &self.entries {
-            let pos = cursor + e.zeros;
-            if e.value != 0.0 {
-                let p = pos as usize;
-                let x = p / (dy * dz);
-                let y = (p / dz) % dy;
-                let z = p % dz;
-                quads.push((x, y, z, e.value));
-            }
-            cursor = pos + 1;
-        }
-        CooTensor3::from_quads(self.dims.0, dy, dz, quads)
-            .expect("RLC tensor stream coordinates remain in-bounds")
+        CooTensor3::from_fiber_matrix(self.dims.0, self.dims.1, &self.fibers.to_coo())
     }
 }
 

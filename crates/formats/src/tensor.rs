@@ -1,7 +1,8 @@
 //! Dense and coordinate 3-D tensor storage.
 
+use crate::coo::CooMatrix;
 use crate::error::FormatError;
-use crate::traits::SparseTensor3;
+use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::Value;
 
 /// Dense 3-D tensor, flattened `x -> y -> z` with z fastest.
@@ -195,6 +196,19 @@ impl CooTensor3 {
             }
         }
         Ok(keep)
+    }
+
+    /// The tensor whose `(x, y)` mode-z fiber is row `x·dy + y` of
+    /// `fibers`, a `(dx·dy) × dz` matrix: the hub form of the 3-D
+    /// formats stored as linearized matrices.
+    pub(crate) fn from_fiber_matrix(dx: usize, dy: usize, fibers: &CooMatrix) -> Self {
+        CooTensor3 {
+            dims: (dx, dy, fibers.cols()),
+            x_ids: fibers.row_ids().iter().map(|&k| k / dy).collect(),
+            y_ids: fibers.row_ids().iter().map(|&k| k % dy).collect(),
+            z_ids: fibers.col_ids().to_vec(),
+            values: fibers.values().to_vec(),
+        }
     }
 
     /// x coordinates, parallel to `values`.

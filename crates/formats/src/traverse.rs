@@ -20,6 +20,13 @@
 //! walk their native structure — no COO hub round-trip, no format
 //! conversion, and (once the arena is warm) no heap allocation.
 //!
+//! The 3-D ZVC and RLC tensors are linearized matrices: the mode-z fiber
+//! keyed `x * dim_y + y` is row `x * dim_y + y` of a `(dim_x * dim_y) ×
+//! dim_z` [`ZvcMatrix`] / [`RlcMatrix`], so their fiber walk is that
+//! matrix's row walk with each row id split back into `(x, y)`. The
+//! matrix walks in turn run the crate's one `Bitmask` set-bit walk and
+//! `RunLength` position decoder.
+//!
 //! Kernels written against these traits run unchanged over every format
 //! (see `sparseflex-kernels`' format-generic `spmv`/`spmm`/`spgemm`/
 //! `mttkrp`/`spttm`), which is the software analogue of the paper's
@@ -28,13 +35,13 @@
 //!
 //! # Scratch discipline
 //!
-//! The required methods are the `*_in` variants taking a `&mut
-//! StreamArena`; the arena-less methods are provided wrappers that build a
-//! fresh (heap-free) arena per call, so one-shot callers keep the PR-2
-//! signature and cost. Hot loops — the tile pipeline, kernel dispatchers,
-//! benches — thread one arena through every traversal so scratch-hungry
-//! formats (CSC's counting-sort transpose, HiCOO's re-sort, ELL/DIA/BSR
-//! fiber assembly) reach a zero-allocation steady state. See
+//! Every walk draws scratch from a `&mut StreamArena`; the arena-less
+//! methods are provided wrappers that build a fresh (heap-free) arena
+//! per call for one-shot callers. Hot loops — the tile pipeline, kernel
+//! dispatchers, benches — thread one arena through every traversal so
+//! scratch-hungry formats (CSC's counting-sort transpose, HiCOO's
+//! re-sort, ELL/DIA/BSR fiber assembly) reach a zero-allocation steady
+//! state. See
 //! [`crate::arena`] for the buffer-ownership rules.
 //!
 //! # Ordering contract
@@ -56,10 +63,11 @@
 //! contract: concatenating the ranged walks of contiguous ranges that
 //! cover the id space, in range order, yields **exactly** the full
 //! `for_each_fiber_in` stream — same fibers, same order, same scratch
-//! discipline. The preset formats implement `for_each_fiber_in` as the
-//! ranged walk over the whole id space. Matrix ranges are over row ids `0..rows`; tensor
-//! ranges are over the linearized fiber key `x * dim_y + y` in
-//! `0..dim_x * dim_y`.
+//! discipline. The ranged walk is the one required method: the provided
+//! `for_each_fiber_in` is the ranged walk over the whole id space, and
+//! only `CustomMatrix`'s column-major transpose overrides it. Matrix
+//! ranges are over row ids `0..rows`; tensor ranges are over the
+//! linearized fiber key `x * dim_y + y` in `0..dim_x * dim_y`.
 
 use crate::arena::StreamArena;
 use crate::bsr::BsrMatrix;
@@ -72,8 +80,10 @@ use crate::dia::DiaMatrix;
 use crate::ell::{EllMatrix, ELL_PAD};
 use crate::formats::{MatrixData, TensorData};
 use crate::hicoo::HiCooTensor;
+use crate::level::{bitmask, run_length};
 use crate::rlc::{RlcMatrix, RlcTensor3};
 use crate::tensor::{CooTensor3, DenseTensor3};
+use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::zvc::{ZvcMatrix, ZvcTensor3};
 use crate::Value;
 use std::ops::Range;
@@ -111,13 +121,16 @@ fn lower_bound(n: usize, below: impl Fn(usize) -> bool) -> usize {
 /// wrapper. Hub-only consumers that want individual nonzeros can use the
 /// derived triple streams [`for_each_nnz_in`](Self::for_each_nnz_in) /
 /// [`for_each_nnz`](Self::for_each_nnz) instead.
-pub trait RowMajorStream {
+pub trait RowMajorStream: SparseMatrix {
     /// Push each non-empty row fiber `(row, col_ids, values)` in row-major
     /// order, assembling scratch-built fibers in `arena`. `col_ids` and
     /// `values` are parallel slices (borrowed from the format where the
     /// layout allows, from the arena otherwise) and are only valid for the
-    /// duration of the callback.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>);
+    /// duration of the callback. Provided as the ranged walk over every
+    /// row.
+    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
+        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
+    }
 
     /// Ranged walk: [`for_each_fiber_in`](Self::for_each_fiber_in)
     /// restricted to rows in `range` — same fibers, same order, same
@@ -163,12 +176,14 @@ pub trait RowMajorStream {
 /// ascending within each fiber. Scratch comes from the caller's
 /// [`StreamArena`]; [`for_each_fiber`](Self::for_each_fiber) is the
 /// one-shot wrapper.
-pub trait FiberStream3 {
+pub trait FiberStream3: SparseTensor3 {
     /// Push each non-empty fiber `(x, y, z_ids, values)` in `(x, y)`
     /// lexicographic order, assembling scratch-built fibers in `arena`.
     /// `z_ids` and `values` are parallel slices valid only for the duration
-    /// of the callback.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>);
+    /// of the callback. Provided as the ranged walk over every fiber key.
+    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
+        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
+    }
 
     /// Ranged walk over the linearized fiber keys `x * dim_y + y`:
     /// [`for_each_fiber_in`](Self::for_each_fiber_in) restricted to fibers
@@ -214,18 +229,12 @@ pub trait FiberStream3 {
 
 impl RowMajorStream for CsrMatrix {
     /// Zero-copy: CSR rows *are* fibers. The arena is untouched.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         _arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         for r in range.start..range.end.min(self.rows()) {
             let (cols, vals) = self.row(r);
             if !cols.is_empty() {
@@ -238,11 +247,7 @@ impl RowMajorStream for CsrMatrix {
 impl RowMajorStream for CooMatrix {
     /// Zero-copy: the hub arrays are row-major sorted, so each row's
     /// entries form a contiguous run. The arena is untouched.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// Seeks the element window with two `partition_point`s on the sorted
     /// row ids, then run-scans only that window.
     fn for_each_fiber_range_in(
@@ -275,18 +280,12 @@ impl RowMajorStream for CooMatrix {
 impl RowMajorStream for DenseMatrix {
     /// Arena-scratch: compacts each dense row's nonzeros into one fiber
     /// (the stream equivalent of `to_coo`'s row scan).
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let StreamArena { coords, vals, .. } = arena;
         for r in range.start..range.end.min(self.rows()) {
             coords.clear();
@@ -309,11 +308,7 @@ impl RowMajorStream for CscMatrix {
     /// (the same algorithm MINT's CSC→CSR pipeline runs in hardware,
     /// Fig. 8c), then a zero-copy walk of the transposed runs. Steady
     /// state reuses the arena's `idx_a`/`idx_b`/`coords`/`vals` capacity.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// The counting sort restricted to the row band `range`: the walk
     /// still scans the full column-major index (CSC stores nothing
     /// row-contiguous to seek by), but buckets, scatters, and emits only
@@ -324,7 +319,6 @@ impl RowMajorStream for CscMatrix {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let rows = self.rows();
         let lo = range.start.min(rows);
         let hi = range.end.min(rows);
@@ -378,11 +372,7 @@ impl RowMajorStream for BsrMatrix {
     /// Arena-scratch: walks each block row once, merging the stored blocks'
     /// local rows (block columns are sorted, so concatenation is already
     /// column-ascending) and skipping padding zeros.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// Clamps the block-row window to `range.start / br_h ..
     /// ceil(range.end / br_h)` via the block offsets, then skips the local
     /// rows outside the range inside the two boundary block rows.
@@ -392,7 +382,6 @@ impl RowMajorStream for BsrMatrix {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let (br_h, bc_w) = self.block_shape();
         let lo = range.start.min(self.rows());
         let hi = range.end.min(self.rows());
@@ -441,18 +430,12 @@ impl RowMajorStream for EllMatrix {
     /// whose stored slots are already column-ascending (the common case
     /// for encoder-produced ELL) emit directly; only genuinely unsorted
     /// builder-supplied rows pay the re-sort through `pairs`.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let StreamArena {
             coords,
             vals,
@@ -498,18 +481,12 @@ impl RowMajorStream for DiaMatrix {
     /// window `0 <= row + k < cols` is located by binary search over the
     /// sorted offsets, so out-of-bounds strip slots are never visited;
     /// padding zeros inside the window are skipped during the scan.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let (rows, cols_n) = (self.rows(), self.cols());
         let offsets = self.offsets();
         let StreamArena { coords, vals, .. } = arena;
@@ -536,13 +513,9 @@ impl RowMajorStream for RlcMatrix {
     /// Native stream: decodes the run-length entries in flat order (which
     /// is row-major by construction), batching each row into one fiber in
     /// arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
-    /// Skip-scan: the cursor decodes entry *positions* only (no fiber
-    /// assembly) until it reaches the range, and stops at the first
+    ///
+    /// Skip-scan: the decoder yields positions only (no fiber assembly)
+    /// until it reaches the range, and the walk stops at the first
     /// position past it — runs are strictly position-ascending.
     fn for_each_fiber_range_in(
         &self,
@@ -550,7 +523,6 @@ impl RowMajorStream for RlcMatrix {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let cols_n = self.cols();
         if cols_n == 0 {
             return;
@@ -561,15 +533,12 @@ impl RowMajorStream for RlcMatrix {
         let StreamArena { coords, vals, .. } = arena;
         coords.clear();
         vals.clear();
-        let mut cursor = 0u64;
-        for e in self.entries() {
-            let pos = cursor + e.zeros;
-            cursor = pos + 1;
+        for (pos, v) in run_length::decode(self.entries()) {
             if pos >= hi_pos {
                 break;
             }
-            if e.value == 0.0 || pos < lo_pos {
-                continue; // run-extension entry, or before the range
+            if pos < lo_pos {
+                continue;
             }
             let r = (pos as usize) / cols_n;
             if r != cur_row {
@@ -581,7 +550,7 @@ impl RowMajorStream for RlcMatrix {
                 cur_row = r;
             }
             coords.push((pos as usize) % cols_n);
-            vals.push(e.value);
+            vals.push(v);
         }
         if !coords.is_empty() {
             emit(cur_row, coords, vals);
@@ -593,45 +562,34 @@ impl RowMajorStream for ZvcMatrix {
     /// Half zero-copy: values are packed row-major, so each row's values
     /// form a contiguous slice; only the column ids are decoded from the
     /// bitmask into arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// Seeks the packed-value cursor with one rank query (popcount of the
-    /// mask words before the range), then decodes only the range's bits.
+    /// mask words before the range), then walks each row's set bits a
+    /// word at a time.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let (rows, cols_n) = (self.rows(), self.cols());
         let lo = range.start.min(rows);
         let hi = range.end.min(rows);
         let coords = &mut arena.coords;
         let mut vi = self.rank(lo * cols_n);
         for r in lo..hi {
+            let base = r * cols_n;
             coords.clear();
-            let start = vi;
-            for c in 0..cols_n {
-                if self.bit(r * cols_n + c) {
-                    coords.push(c);
-                    vi += 1;
-                }
-            }
+            bitmask::for_each_set(self.mask(), base..base + cols_n, |p| coords.push(p - base));
             if !coords.is_empty() {
-                emit(r, coords, &self.values()[start..vi]);
+                emit(r, coords, &self.values()[vi..vi + coords.len()]);
+                vi += coords.len();
             }
         }
     }
 }
 
 impl RowMajorStream for MatrixData {
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        self.row_stream().for_each_fiber_in(arena, emit);
-    }
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -671,11 +629,7 @@ impl MatrixData {
 impl FiberStream3 for CooTensor3 {
     /// Zero-copy: the hub arrays are x-major sorted, so each `(x, y)`
     /// fiber's entries form a contiguous run. The arena is untouched.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Seek: binary-search the sorted hub keys for the range window, then
     /// run-scan only that window.
     fn for_each_fiber_range_in(
@@ -684,7 +638,6 @@ impl FiberStream3 for CooTensor3 {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let _ = arena;
         let dy = self.dim_y();
         let (xs, ys) = (self.x_ids(), self.y_ids());
@@ -716,11 +669,7 @@ impl FiberStream3 for CooTensor3 {
 impl FiberStream3 for CsfTensor {
     /// Zero-copy tree walk: CSF's level-2 slices *are* the fibers — each
     /// `y_ptr` range is one `(x, y)` fiber's z ids and values.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Seek: the tree walk skips whole x slices entirely outside the key
     /// range and clips the fiber loop at both ends (keys ascend within a
     /// slice because `y_fids` are sorted per slice).
@@ -730,7 +679,6 @@ impl FiberStream3 for CsfTensor {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let _ = arena;
         let dy = self.dim_y();
         for (si, &x) in self.x_fids().iter().enumerate() {
@@ -765,11 +713,7 @@ impl FiberStream3 for CsfTensor {
 impl FiberStream3 for DenseTensor3 {
     /// Arena-scratch: each `(x, y)` run of the flat buffer (z fastest) is
     /// one fiber; zeros are compacted away.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Direct seek: keys address the flat buffer, so the ranged walk is the
     /// same compaction loop over `range` keys only.
     fn for_each_fiber_range_in(
@@ -778,7 +722,6 @@ impl FiberStream3 for DenseTensor3 {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
         let StreamArena {
             coords: zs, vals, ..
@@ -806,11 +749,7 @@ impl FiberStream3 for HiCooTensor {
     /// `(x, y)` fiber may be split across blocks; the walk decodes the
     /// block-relative coordinates into the arena's `quads` and re-sorts
     /// them x-major once (O(nnz log nnz)) before emitting fibers.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Block filter: only quads whose fiber key falls in `range` enter the
     /// arena sort, so a ranged walk sorts just its share of the nonzeros.
     fn for_each_fiber_range_in(
@@ -819,7 +758,6 @@ impl FiberStream3 for HiCooTensor {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let dy = self.dim_y();
         let StreamArena {
             coords: zs,
@@ -851,115 +789,47 @@ impl FiberStream3 for HiCooTensor {
 }
 
 impl FiberStream3 for RlcTensor3 {
-    /// Native stream: the flattened run-length entries decode in `(x, y, z)`
-    /// order; consecutive same-`(x, y)` elements batch into one fiber in
-    /// arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
-    /// Run skip-scan: decode positions ascend monotonically, so the walk
-    /// skips entries below the range window and stops at the first entry
-    /// past it.
+    /// The fiber matrix's ranged row walk (its row ids are the fiber
+    /// keys).
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        if dy == 0 || dz == 0 {
-            return;
-        }
-        let lo_pos = range.start as u64 * dz as u64;
-        let hi_pos = range.end.min(dx * dy) as u64 * dz as u64;
-        let mut cur: Option<(usize, usize)> = None;
-        let StreamArena {
-            coords: zs, vals, ..
-        } = arena;
-        zs.clear();
-        vals.clear();
-        let mut cursor = 0u64;
-        for e in self.entries() {
-            let pos = cursor + e.zeros;
-            cursor = pos + 1;
-            if pos >= hi_pos {
-                break;
-            }
-            if e.value == 0.0 || pos < lo_pos {
-                continue; // run-extension entry or before the window
-            }
-            let p = pos as usize;
-            let xy = (p / (dy * dz), (p / dz) % dy);
-            if cur != Some(xy) {
-                if let Some((x, y)) = cur {
-                    if !zs.is_empty() {
-                        emit(x, y, zs, vals);
-                        zs.clear();
-                        vals.clear();
-                    }
-                }
-                cur = Some(xy);
-            }
-            zs.push(p % dz);
-            vals.push(e.value);
-        }
-        if let Some((x, y)) = cur {
-            if !zs.is_empty() {
-                emit(x, y, zs, vals);
-            }
-        }
+        linearized_fiber_walk(self.fibers(), self.dim_y(), range, arena, emit);
     }
 }
 
 impl FiberStream3 for ZvcTensor3 {
-    /// Half zero-copy: values are packed in flat order, so each `(x, y)`
-    /// fiber's values are contiguous; z ids decode from the bitmask into
-    /// arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
-    /// Bitmask rank seek: the packed-value cursor for the first in-range
-    /// fiber is `rank(range.start * dz)` (a popcount over the mask prefix);
-    /// from there the walk is the usual bit decode.
+    /// The fiber matrix's ranged row walk (its row ids are the fiber
+    /// keys).
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let lo = range.start.min(dx * dy);
-        let hi = range.end.min(dx * dy);
-        let zs = &mut arena.coords;
-        let mut vi = self.rank(lo * dz);
-        for key in lo..hi {
-            let (x, y) = (key / dy, key % dy);
-            let base = key * dz;
-            zs.clear();
-            let start = vi;
-            for z in 0..dz {
-                if self.bit(base + z) {
-                    zs.push(z);
-                    vi += 1;
-                }
-            }
-            if !zs.is_empty() {
-                emit(x, y, zs, &self.values()[start..vi]);
-            }
-        }
+        linearized_fiber_walk(self.fibers(), self.dim_y(), range, arena, emit);
     }
 }
 
+/// Walk a tensor stored as the `(dx·dy) × dz` matrix of its mode-z
+/// fibers: the matrix's ranged row walk, each row id `k` split into the
+/// fiber coordinates `(k / dy, k % dy)`.
+fn linearized_fiber_walk(
+    fibers: &impl RowMajorStream,
+    dy: usize,
+    range: Range<usize>,
+    arena: &mut StreamArena,
+    emit: &mut FiberSink3<'_>,
+) {
+    fibers.for_each_fiber_range_in(range, arena, &mut |k, zs, vals| {
+        emit(k / dy, k % dy, zs, vals)
+    });
+}
+
 impl FiberStream3 for TensorData {
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        self.fiber_stream().for_each_fiber_in(arena, emit);
-    }
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -1043,7 +913,6 @@ pub fn csr_cow_in<'a>(
     arena: &mut StreamArena,
     data: &'a MatrixData,
 ) -> std::borrow::Cow<'a, CsrMatrix> {
-    use crate::traits::SparseMatrix;
     match data {
         MatrixData::Csr(c) => std::borrow::Cow::Borrowed(c),
         other => std::borrow::Cow::Owned(csr_from_stream_in(
@@ -1064,7 +933,6 @@ pub fn csr_cow(data: &MatrixData) -> std::borrow::Cow<'_, CsrMatrix> {
 mod tests {
     use super::*;
     use crate::formats::{MatrixFormat, TensorFormat};
-    use crate::traits::SparseMatrix;
 
     fn all_matrix_formats() -> Vec<MatrixFormat> {
         vec![
@@ -1352,7 +1220,6 @@ mod tests {
     /// Same contract for the tensor formats over linearized fiber keys.
     #[test]
     fn ranged_tensor_walks_concatenate_to_full_stream() {
-        use crate::traits::SparseTensor3;
         let coo = sample_tensor();
         for fmt in all_tensor_formats() {
             let data = TensorData::encode(&coo, &fmt).unwrap();

@@ -1,7 +1,15 @@
 //! Zero-Value Compression (ZVC) format for matrices and 3-D tensors.
+//!
+//! ZVC codes one linearized stream: a bitmask over row-major positions
+//! plus the packed nonzeros. A 3-D tensor's mode-z fiber stream keyed
+//! `x·dy + y` is exactly the row-major matrix of shape `(dx·dy, dz)`, so
+//! [`ZvcTensor3`] is that [`ZvcMatrix`] — same mask words, same packed
+//! values, bit for bit — and delegates everything to it. The mask itself
+//! is the crate's one `Bitmask` level.
 
 use crate::coo::CooMatrix;
 use crate::error::FormatError;
+use crate::level::bitmask;
 use crate::tensor::CooTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::Value;
@@ -22,21 +30,29 @@ pub struct ZvcMatrix {
     values: Vec<Value>,
 }
 
-#[inline]
-fn mask_words(len: usize) -> usize {
-    len.div_ceil(64)
-}
-
 impl ZvcMatrix {
     /// Encode from the COO hub.
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let rows = coo.rows();
         let cols = coo.cols();
-        let mut mask = vec![0u64; mask_words(rows * cols)];
-        let mut values = Vec::with_capacity(coo.nnz());
-        for (r, c, v) in coo.iter() {
-            let flat = r * cols + c;
-            mask[flat / 64] |= 1u64 << (flat % 64);
+        Self::from_positions(
+            coo.rows(),
+            cols,
+            coo.iter().map(|(r, c, v)| (r * cols + c, v)),
+        )
+    }
+
+    /// Encode elements given by strictly ascending row-major flat
+    /// positions: the one encoder behind both shapes (the tensor passes
+    /// its `(x·dy + y)·dz + z` positions).
+    pub(crate) fn from_positions(
+        rows: usize,
+        cols: usize,
+        elements: impl Iterator<Item = (usize, Value)>,
+    ) -> Self {
+        let mut mask = vec![0u64; bitmask::words(rows * cols)];
+        let mut values = Vec::with_capacity(elements.size_hint().0);
+        for (flat, v) in elements {
+            bitmask::set(&mut mask, flat);
             values.push(v);
         }
         ZvcMatrix {
@@ -54,32 +70,7 @@ impl ZvcMatrix {
         mask: Vec<u64>,
         values: Vec<Value>,
     ) -> Result<Self, FormatError> {
-        if mask.len() != mask_words(rows * cols) {
-            return Err(FormatError::LengthMismatch {
-                what: "zvc mask words",
-                expected: mask_words(rows * cols),
-                actual: mask.len(),
-            });
-        }
-        // Bits beyond rows*cols must be clear.
-        let tail_bits = rows * cols;
-        if !tail_bits.is_multiple_of(64) {
-            if let Some(&last) = mask.last() {
-                if last >> (tail_bits % 64) != 0 {
-                    return Err(FormatError::MalformedPointer {
-                        what: "zvc mask tail bits set",
-                    });
-                }
-            }
-        }
-        let popcount: u32 = mask.iter().map(|w| w.count_ones()).sum();
-        if popcount as usize != values.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "zvc mask popcount vs values",
-                expected: popcount as usize,
-                actual: values.len(),
-            });
-        }
+        bitmask::check(&mask, rows * cols, values.len())?;
         Ok(ZvcMatrix {
             rows,
             cols,
@@ -103,21 +94,13 @@ impl ZvcMatrix {
     /// Is the bit for flat position `i` set?
     #[inline]
     pub fn bit(&self, i: usize) -> bool {
-        (self.mask[i / 64] >> (i % 64)) & 1 == 1
+        bitmask::test(&self.mask, i)
     }
 
     /// Number of set bits strictly before flat position `i` (rank query;
     /// gives the `values` index of a set position).
     pub fn rank(&self, i: usize) -> usize {
-        let word = i / 64;
-        let mut count: usize = self.mask[..word]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        if !i.is_multiple_of(64) {
-            count += (self.mask[word] & ((1u64 << (i % 64)) - 1)).count_ones() as usize;
-        }
-        count
+        bitmask::rank(&self.mask, i)
     }
 }
 
@@ -140,75 +123,45 @@ impl SparseMatrix for ZvcMatrix {
         }
     }
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::with_capacity(self.values.len());
-        let mut vi = 0;
-        for flat in 0..self.rows * self.cols {
-            if self.bit(flat) {
-                triplets.push((flat / self.cols, flat % self.cols, self.values[vi]));
-                vi += 1;
-            }
-        }
-        CooMatrix::from_sorted_triplets(self.rows, self.cols, triplets)
-            .expect("mask scan is row-major ordered")
+        CooMatrix::from_stream(self)
     }
 }
 
 /// Zero-value compressed 3-D tensor over the `x -> y -> z` (z fastest)
-/// flattened stream (Fig. 3b's ZVC example).
+/// flattened stream (Fig. 3b's ZVC example): the [`ZvcMatrix`] of shape
+/// `(dx·dy, dz)` whose row `x·dy + y` is the `(x, y)` mode-z fiber.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZvcTensor3 {
     dims: (usize, usize, usize),
-    mask: Vec<u64>,
-    values: Vec<Value>,
+    fibers: ZvcMatrix,
 }
 
 impl ZvcTensor3 {
     /// Encode from the COO tensor hub.
     pub fn from_coo(coo: &CooTensor3) -> Self {
         let (dx, dy, dz) = coo.shape();
-        let mut mask = vec![0u64; mask_words(dx * dy * dz)];
-        let mut values = Vec::with_capacity(coo.nnz());
-        for (x, y, z, v) in coo.iter() {
-            let flat = (x * dy + y) * dz + z;
-            mask[flat / 64] |= 1u64 << (flat % 64);
-            values.push(v);
-        }
+        let positions = coo.iter().map(|(x, y, z, v)| ((x * dy + y) * dz + z, v));
         ZvcTensor3 {
             dims: (dx, dy, dz),
-            mask,
-            values,
+            fibers: ZvcMatrix::from_positions(dx * dy, dz, positions),
         }
     }
 
     /// Packed mask words.
     #[inline]
     pub fn mask(&self) -> &[u64] {
-        &self.mask
+        self.fibers.mask()
     }
 
     /// Packed nonzero values.
     #[inline]
     pub fn values(&self) -> &[Value] {
-        &self.values
+        self.fibers.values()
     }
 
-    /// Is the bit for flat position `i` set? (Shared with the fiber-stream
-    /// traversal in `traverse`.)
-    #[inline]
-    pub(crate) fn bit(&self, i: usize) -> bool {
-        (self.mask[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    pub(crate) fn rank(&self, i: usize) -> usize {
-        let word = i / 64;
-        let mut count: usize = self.mask[..word]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        if !i.is_multiple_of(64) {
-            count += (self.mask[word] & ((1u64 << (i % 64)) - 1)).count_ones() as usize;
-        }
-        count
+    /// The `(dx·dy) × dz` matrix of mode-z fibers this tensor is.
+    pub(crate) fn fibers(&self) -> &ZvcMatrix {
+        &self.fibers
     }
 }
 
@@ -223,31 +176,13 @@ impl SparseTensor3 for ZvcTensor3 {
         self.dims.2
     }
     fn nnz(&self) -> usize {
-        self.values.len()
+        self.fibers.nnz()
     }
     fn get(&self, x: usize, y: usize, z: usize) -> Value {
-        let flat = (x * self.dims.1 + y) * self.dims.2 + z;
-        if self.bit(flat) {
-            self.values[self.rank(flat)]
-        } else {
-            0.0
-        }
+        self.fibers.get(x * self.dims.1 + y, z)
     }
     fn to_coo(&self) -> CooTensor3 {
-        let (dy, dz) = (self.dims.1, self.dims.2);
-        let mut quads = Vec::with_capacity(self.values.len());
-        let mut vi = 0;
-        for flat in 0..self.dims.0 * dy * dz {
-            if self.bit(flat) {
-                let x = flat / (dy * dz);
-                let y = (flat / dz) % dy;
-                let z = flat % dz;
-                quads.push((x, y, z, self.values[vi]));
-                vi += 1;
-            }
-        }
-        CooTensor3::from_quads(self.dims.0, dy, dz, quads)
-            .expect("mask scan coordinates remain in-bounds")
+        CooTensor3::from_fiber_matrix(self.dims.0, self.dims.1, &self.fibers.to_coo())
     }
 }
 

@@ -12,12 +12,14 @@
 //! and passes. Both halves also cover the ranged walk
 //! (`for_each_fiber_range_in`): walks over fixed cut points concatenate
 //! to the full stream, and a warm arena's repeat ranged walk allocates
-//! nothing.
+//! nothing. The zero-allocation check also covers the open descriptor
+//! compositions `CustomMatrix` stores, in both rank orders.
 
 use proptest::prelude::*;
 use sparseflex::formats::{
-    csr_from_stream, csr_from_stream_in, CooMatrix, CooTensor3, MatrixData, MatrixFormat,
-    SparseMatrix, SparseTensor3, StreamArena, TensorData, TensorFormat,
+    csr_from_stream, csr_from_stream_in, CooMatrix, CooTensor3, CustomMatrix, FormatDescriptor,
+    Level, MatrixData, MatrixFormat, RankOrder, RowMajorStream, SparseMatrix, SparseTensor3,
+    StreamArena, TensorData, TensorFormat, ValuesLayout,
 };
 use sparseflex_bench::allocs;
 use std::ops::Range;
@@ -39,6 +41,28 @@ fn matrix_formats() -> Vec<MatrixFormat> {
         MatrixFormat::Rlc { run_bits: 3 },
         MatrixFormat::Zvc,
     ]
+}
+
+/// Open two-rank compositions, stored by `CustomMatrix`: both outer
+/// levels × each inner level it supports, in both rank orders.
+fn open_descriptors() -> Vec<FormatDescriptor> {
+    let mut out = Vec::new();
+    for order in [RankOrder::RowMajor, RankOrder::ColMajor] {
+        for outer in [Level::Uncompressed, Level::Bitmask] {
+            for inner in [
+                Level::Singleton,
+                Level::Bitmask,
+                Level::RunLength { run_bits: 3 },
+            ] {
+                out.push(FormatDescriptor::new(
+                    order,
+                    vec![outer, inner],
+                    ValuesLayout::Contiguous,
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// Every tensor format variant.
@@ -121,15 +145,14 @@ fn tensor_fibers_oneshot(data: &TensorData) -> TensorFibers {
 
 /// Allocation-free traversal fold (the closure must not touch the heap,
 /// or the zero-alloc assertion would blame the traversal for it).
-fn matrix_checksum(data: &MatrixData, arena: &mut StreamArena) -> f64 {
+fn matrix_checksum(stream: &dyn RowMajorStream, arena: &mut StreamArena) -> f64 {
     let mut acc = 0.0f64;
-    data.row_stream()
-        .for_each_fiber_in(arena, &mut |r, cols, vals| {
-            acc += (r + cols.len()) as f64;
-            for &v in vals {
-                acc += v;
-            }
-        });
+    stream.for_each_fiber_in(arena, &mut |r, cols, vals| {
+        acc += (r + cols.len()) as f64;
+        for &v in vals {
+            acc += v;
+        }
+    });
     acc
 }
 
@@ -146,15 +169,18 @@ fn tensor_checksum(data: &TensorData, arena: &mut StreamArena) -> f64 {
 }
 
 /// [`matrix_checksum`] over one ranged walk.
-fn matrix_range_checksum(data: &MatrixData, range: Range<usize>, arena: &mut StreamArena) -> f64 {
+fn matrix_range_checksum(
+    stream: &dyn RowMajorStream,
+    range: Range<usize>,
+    arena: &mut StreamArena,
+) -> f64 {
     let mut acc = 0.0f64;
-    data.row_stream()
-        .for_each_fiber_range_in(range, arena, &mut |r, cols, vals| {
-            acc += (r + cols.len()) as f64;
-            for &v in vals {
-                acc += v;
-            }
-        });
+    stream.for_each_fiber_range_in(range, arena, &mut |r, cols, vals| {
+        acc += (r + cols.len()) as f64;
+        for &v in vals {
+            acc += v;
+        }
+    });
     acc
 }
 
@@ -294,18 +320,28 @@ fn warm_arena_traversals_never_allocate() {
             .collect(),
     )
     .unwrap();
+    let mut streams: Vec<(String, Box<dyn RowMajorStream>)> = Vec::new();
     for fmt in matrix_formats() {
         let data = MatrixData::encode(&a, &fmt).unwrap();
+        streams.push((fmt.to_string(), Box::new(data)));
+    }
+    for desc in open_descriptors() {
+        let m = CustomMatrix::encode(&a, &desc).unwrap();
+        streams.push((desc.to_string(), Box::new(m)));
+    }
+    for (fmt, stream) in &streams {
         let mut arena = StreamArena::new();
-        let warm = matrix_checksum(&data, &mut arena);
-        let (allocs_steady, steady) = allocs::count_allocs(|| matrix_checksum(&data, &mut arena));
+        let warm = matrix_checksum(stream.as_ref(), &mut arena);
+        let (allocs_steady, steady) =
+            allocs::count_allocs(|| matrix_checksum(stream.as_ref(), &mut arena));
         assert_eq!(warm, steady, "{fmt}: passes must agree");
         assert_eq!(allocs_steady, 0, "{fmt}: steady-state traversal allocated");
-        for r in thirds(data.rows()) {
+        for r in thirds(a.rows()) {
             let mut arena = StreamArena::new();
-            let warm = matrix_range_checksum(&data, r.clone(), &mut arena);
-            let (n, steady) =
-                allocs::count_allocs(|| matrix_range_checksum(&data, r.clone(), &mut arena));
+            let warm = matrix_range_checksum(stream.as_ref(), r.clone(), &mut arena);
+            let (n, steady) = allocs::count_allocs(|| {
+                matrix_range_checksum(stream.as_ref(), r.clone(), &mut arena)
+            });
             assert_eq!(warm, steady, "{fmt} range {r:?}: passes must agree");
             assert_eq!(
                 n, 0,
